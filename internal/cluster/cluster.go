@@ -252,9 +252,6 @@ func (c *Cluster) VM(id VMID) *VM {
 // NumApps returns the number of registered applications.
 func (c *Cluster) NumApps() int { return len(c.apps) }
 
-// NumServers returns the number of servers in the cluster.
-func (c *Cluster) NumServers() int { return len(c.servers) }
-
 // PodIDs returns all pod IDs in ascending order.
 func (c *Cluster) PodIDs() []PodID {
 	ids := make([]PodID, 0, len(c.pods))

@@ -14,7 +14,7 @@ import (
 
 // traceHealth records one component health transition on the flight
 // recorder (no-op when tracing is off). The two states ride in the
-// event payload; health.TransitionLabel(from, to) is their spelling.
+// event payload as numbers; health.State.String spells each.
 func (p *Platform) traceHealth(ref trace.Ref, from, to health.State) {
 	p.Cfg.Trace.Record(trace.EvHealth, float64(from), float64(to), ref)
 }

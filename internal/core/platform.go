@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"megadc/internal/audit"
-	"megadc/internal/causal"
 	"megadc/internal/cluster"
 	"megadc/internal/ctrlplane"
 	"megadc/internal/dnsctl"
@@ -288,7 +287,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	p.pol = pol
 	p.VIPRIP.SetPlacement(pol.Placement)
 	if topo.SwitchPods > 1 {
-		h, err := viprip.NewHierarchy(p.Fabric, vipPool, topo.SwitchPods, viprip.Blend)
+		h, err := viprip.NewHierarchy(p.VIPRIP, topo.SwitchPods)
 		if err != nil {
 			return nil, err
 		}
@@ -395,10 +394,6 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 // control plane is in effect — every Bus method is nil-safe, so callers
 // need not check.
 func (p *Platform) Ctrl() *ctrlplane.Bus { return p.ctrl }
-
-// Causal returns the decision-provenance assembler (nil unless
-// Cfg.Causal was set). Its methods are nil-safe.
-func (p *Platform) Causal() *causal.Assembler { return p.Cfg.Causal }
 
 // decide allocates a CauseID for one control decision and records its
 // EvDecision root — knob code, priority class, and the entity refs the

@@ -7,6 +7,8 @@ import (
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
+	"megadc/internal/policy"
+	"megadc/internal/trace"
 	"megadc/internal/workload"
 )
 
@@ -211,6 +213,54 @@ func TestSwitchPodHierarchyOnPlatform(t *testing.T) {
 	bad.SwitchPods = 99
 	if _, err := NewPlatform(bad, cfg); err == nil {
 		t.Error("more switch pods than switches accepted")
+	}
+}
+
+// countingPlacement is the greedy placement with its VIPSwitch
+// decisions counted.
+type countingPlacement struct {
+	*policy.Greedy
+	vipSwitch int
+}
+
+func (c *countingPlacement) VIPSwitch(d policy.Decision) int {
+	c.vipSwitch++
+	return c.Greedy.VIPSwitch(d)
+}
+
+// TestSwitchPodsUseManagerPlacement: under switch pods every VIP is
+// still placed by the manager's placement, once, and traced as one
+// EvAddVIP.
+func TestSwitchPodsUseManagerPlacement(t *testing.T) {
+	topo := SmallTopology()
+	topo.SwitchPods = 2
+	cfg := testConfig()
+	rec := trace.NewRecorder(trace.DefaultRingSize)
+	cfg.Trace = rec
+	p, err := NewPlatform(topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := &countingPlacement{Greedy: policy.NewGreedy(nil)}
+	p.VIPRIP.SetPlacement(place)
+	const apps = 4
+	for i := 0; i < apps; i++ {
+		if _, err := p.OnboardApp("a", defaultSlice(), 2, Demand{CPU: 1, Mbps: 50}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := apps * cfg.VIPsPerApp
+	if place.vipSwitch != want {
+		t.Errorf("VIPSwitch called %d times for %d VIPs", place.vipSwitch, want)
+	}
+	added := 0
+	for _, ev := range rec.Events() {
+		if ev.Type == trace.EvAddVIP {
+			added++
+		}
+	}
+	if added != want {
+		t.Errorf("%d EvAddVIP events for %d VIPs", added, want)
 	}
 }
 

@@ -290,9 +290,6 @@ func (b *Bus) withCause(cause uint64, f func()) {
 // Enabled reports whether messages actually traverse the bus.
 func (b *Bus) Enabled() bool { return b != nil && b.cfg.Enable }
 
-// Config returns the bus configuration.
-func (b *Bus) Config() Config { return b.cfg }
-
 // Partitioned reports whether ep is currently partitioned.
 func (b *Bus) Partitioned(ep Endpoint) bool { return b != nil && b.partitioned[ep] }
 

@@ -28,8 +28,8 @@ type E1Row struct {
 // RunE1 reproduces the paper's switch-count arithmetic (Section III-B:
 // ≥150 switches for 300K apps × 2 VIPs, ≈600 Gbps aggregate; Section
 // V-A: max(300K·3/4000, 300K·20/16000) = 375 switches) and then packs a
-// proportionally scaled instance through the VIP/RIP manager to verify
-// the bound is achievable by the first-fit packer.
+// proportionally scaled instance first-fit to verify the bound is
+// achievable.
 func RunE1(o Options) (*metrics.Table, *E1Result, error) {
 	limits := lbswitch.CatalystCSM()
 	res := &E1Result{}
@@ -91,7 +91,6 @@ func packSwitches(apps, vipsPerApp, ripsPerApp int, limits lbswitch.Limits) (int
 	if err != nil {
 		return 0, err
 	}
-	mgr := viprip.NewManager(fab, vipPool, ripPool, viprip.FirstFitPolicy)
 	switches := fab.Switches()
 	cursor := 0
 	for a := 0; a < apps; a++ {
@@ -123,11 +122,11 @@ func packSwitches(apps, vipsPerApp, ripsPerApp int, limits lbswitch.Limits) (int
 			vips = append(vips, vip)
 		}
 		for r := 0; r < ripsPerApp; r++ {
-			rip, err := mgr.AllocRIP()
+			rip, err := ripPool.Alloc()
 			if err != nil {
 				return 0, err
 			}
-			if err := sw.AddRIP(vips[r%len(vips)], rip, 1); err != nil {
+			if err := sw.AddRIP(vips[r%len(vips)], lbswitch.RIP(rip), 1); err != nil {
 				return 0, fmt.Errorf("exp: e1 pack app %d rip %d: %w", a, r, err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
 	"megadc/internal/metrics"
+	"megadc/internal/policy"
 	"megadc/internal/viprip"
 	"megadc/internal/workload"
 )
@@ -62,15 +63,26 @@ func RunE12(o Options) (*metrics.Table, *E12Result, error) {
 	tb.AddRow("state space (log10, 300K apps, 400 sw, k=3)",
 		fmt.Sprintf("10^%.3g", res.Log10States), "-", "-", "-", "-")
 
-	for _, pol := range []viprip.Policy{viprip.FirstFitPolicy, viprip.LeastVIPs, viprip.LeastLoad, viprip.Blend} {
-		vipCoV, tputCoV, maxU, err := allocateWithPolicy(nApps, nSwitches, 1, pol, weights, totalMbps, limits)
+	// First-fit is a placement strategy, not a score: it takes the
+	// lowest-ID switch with room whatever the score says.
+	for _, pol := range []struct {
+		name  string
+		score viprip.Policy
+		place policy.Placement
+	}{
+		{"first-fit", viprip.Blend, policy.FirstFit{}},
+		{viprip.LeastVIPs.String(), viprip.LeastVIPs, nil},
+		{viprip.LeastLoad.String(), viprip.LeastLoad, nil},
+		{viprip.Blend.String(), viprip.Blend, nil},
+	} {
+		vipCoV, tputCoV, maxU, err := allocateWithPolicy(nApps, nSwitches, pol.score, pol.place, weights, totalMbps, limits)
 		if err != nil {
 			return nil, nil, err
 		}
 		res.Policies = append(res.Policies, E12PolicyRow{
-			Policy: pol.String(), VIPCountCoV: vipCoV, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
+			Policy: pol.name, VIPCountCoV: vipCoV, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
 		})
-		tb.AddRow("policy "+pol.String(), "-", vipCoV, tputCoV, maxU, nSwitches)
+		tb.AddRow("policy "+pol.name, "-", vipCoV, tputCoV, maxU, nSwitches)
 	}
 	for _, pods := range []int{1, 4, 16} {
 		if pods > nSwitches {
@@ -92,96 +104,88 @@ func RunE12(o Options) (*metrics.Table, *E12Result, error) {
 // (the Section V-A switch-pod manager) and reports balance plus the
 // measured switch scans per allocation.
 func allocateHierarchical(nApps, nSwitches, pods int, weights []float64, totalMbps float64, limits lbswitch.Limits) (tputCoV, maxUtil float64, scansPerAlloc int, err error) {
+	mgr, err := newE12Manager(nApps, nSwitches, viprip.Blend, limits)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	h, err := viprip.NewHierarchy(mgr, pods)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	if err := placeE12Apps(mgr.Fabric(), nApps, weights, totalMbps, h.AddVIP); err != nil {
+		return 0, 0, 0, err
+	}
+	if err := h.CheckInvariants(); err != nil {
+		return 0, 0, 0, err
+	}
+	_, tputCoV, maxUtil = switchBalance(mgr.Fabric())
+	return tputCoV, maxUtil, int(h.Scans) / (3 * nApps), nil
+}
+
+// allocateWithPolicy places nApps×3 VIPs through a flat manager ranking
+// switches by score; a nil place keeps the default greedy placement.
+func allocateWithPolicy(nApps, nSwitches int, score viprip.Policy, place policy.Placement,
+	weights []float64, totalMbps float64, limits lbswitch.Limits) (vipCoV, tputCoV, maxUtil float64, err error) {
+	mgr, err := newE12Manager(nApps, nSwitches, score, limits)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	mgr.SetPlacement(place)
+	if err := placeE12Apps(mgr.Fabric(), nApps, weights, totalMbps, mgr.AddVIP); err != nil {
+		return 0, 0, 0, err
+	}
+	vipCoV, tputCoV, maxUtil = switchBalance(mgr.Fabric())
+	return vipCoV, tputCoV, maxUtil, nil
+}
+
+// newE12Manager builds nSwitches identical switches under a manager
+// with address room for nApps×3 VIPs.
+func newE12Manager(nApps, nSwitches int, score viprip.Policy, limits lbswitch.Limits) (*viprip.Manager, error) {
 	fab := lbswitch.NewFabric()
 	for i := 0; i < nSwitches; i++ {
 		fab.AddSwitch(limits)
 	}
 	vp, err := viprip.NewIPPool("100.64.0.0", uint32(3*nApps+16))
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
-	h, err := viprip.NewHierarchy(fab, vp, pods, viprip.Blend)
+	rp, err := viprip.NewIPPool("10.0.0.0", 16)
 	if err != nil {
-		return 0, 0, 0, err
+		return nil, err
 	}
-	allocs := 0
+	return viprip.NewManager(fab, vp, rp, score), nil
+}
+
+// placeE12Apps adds three VIPs per app through add, each carrying a
+// third of the app's Zipf share of totalMbps.
+func placeE12Apps(fab *lbswitch.Fabric, nApps int, weights []float64, totalMbps float64,
+	add func(cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error)) error {
 	for a := 0; a < nApps; a++ {
 		mbps := totalMbps * weights[a]
 		for v := 0; v < 3; v++ {
-			vip, sw, err := h.AddVIP(cluster.AppID(a))
+			vip, sw, err := add(cluster.AppID(a))
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("exp: e12 hierarchy app %d: %w", a, err)
+				return fmt.Errorf("exp: e12 app %d: %w", a, err)
 			}
 			if err := fab.Switch(sw).SetVIPLoad(vip, mbps/3); err != nil {
-				return 0, 0, 0, err
+				return err
 			}
-			allocs++
 		}
 	}
-	var utils []float64
+	return nil
+}
+
+// switchBalance reports the CoV of per-switch VIP counts and
+// utilizations, and the maximum utilization.
+func switchBalance(fab *lbswitch.Fabric) (vipCoV, tputCoV, maxUtil float64) {
+	var vipCounts, utils []float64
 	for _, sw := range fab.Switches() {
+		vipCounts = append(vipCounts, float64(sw.NumVIPs()))
 		u := sw.Utilization()
 		utils = append(utils, u)
 		if u > maxUtil {
 			maxUtil = u
 		}
 	}
-	if err := h.CheckInvariants(); err != nil {
-		return 0, 0, 0, err
-	}
-	return metrics.CoefficientOfVariation(utils), maxUtil, int(h.Scans) / allocs, nil
-}
-
-// allocateWithPolicy places nApps×3 VIPs using the policy. With
-// switchPods > 1 the switches are split into that many pods, each with
-// its own manager; apps are assigned to switch pods round-robin and the
-// policy scans only the pod's switches (the Section V-A hierarchy).
-func allocateWithPolicy(nApps, nSwitches, switchPods int, pol viprip.Policy,
-	weights []float64, totalMbps float64, limits lbswitch.Limits) (vipCoV, tputCoV, maxUtil float64, err error) {
-	if nSwitches%switchPods != 0 {
-		return 0, 0, 0, fmt.Errorf("exp: e12 switches %d not divisible by pods %d", nSwitches, switchPods)
-	}
-	perPod := nSwitches / switchPods
-	fabrics := make([]*lbswitch.Fabric, switchPods)
-	mgrs := make([]*viprip.Manager, switchPods)
-	for g := 0; g < switchPods; g++ {
-		fabrics[g] = lbswitch.NewFabric()
-		for i := 0; i < perPod; i++ {
-			fabrics[g].AddSwitch(limits)
-		}
-		vp, err := viprip.NewIPPool(fmt.Sprintf("100.%d.0.0", 64+g), uint32(3*nApps+16))
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		rp, err := viprip.NewIPPool(fmt.Sprintf("10.%d.0.0", g), 16)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		mgrs[g] = viprip.NewManager(fabrics[g], vp, rp, pol)
-	}
-	for a := 0; a < nApps; a++ {
-		g := a % switchPods
-		mbps := totalMbps * weights[a]
-		for v := 0; v < 3; v++ {
-			vip, sw, err := mgrs[g].AddVIP(cluster.AppID(a))
-			if err != nil {
-				return 0, 0, 0, fmt.Errorf("exp: e12 app %d: %w", a, err)
-			}
-			if err := fabrics[g].Switch(sw).SetVIPLoad(vip, mbps/3); err != nil {
-				return 0, 0, 0, err
-			}
-		}
-	}
-	var vipCounts, utils []float64
-	for g := 0; g < switchPods; g++ {
-		for _, sw := range fabrics[g].Switches() {
-			vipCounts = append(vipCounts, float64(sw.NumVIPs()))
-			u := sw.Utilization()
-			utils = append(utils, u)
-			if u > maxUtil {
-				maxUtil = u
-			}
-		}
-	}
-	return metrics.CoefficientOfVariation(vipCounts), metrics.CoefficientOfVariation(utils), maxUtil, nil
+	return metrics.CoefficientOfVariation(vipCounts), metrics.CoefficientOfVariation(utils), maxUtil
 }

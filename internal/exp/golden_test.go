@@ -14,7 +14,9 @@ import (
 // pre-refactor code at seed 1 / AuditEvery 10 (mdcexp defaults); the
 // e17 golden was re-captured after the alias-sampler change (PR 9
 // satellite), which legitimately re-pinned the request stream — see
-// CHANGES.md. Any diff here means the greedy extraction is no longer
+// CHANGES.md. The e1 and e12 goldens were captured before the switch-pod
+// hierarchy and first-fit packing were routed through the manager's
+// placement. Any diff here means the greedy extraction is no longer
 // byte-identical to the historical inline scans.
 func TestGreedyPolicyByteIdentical(t *testing.T) {
 	o := DefaultOptions()
@@ -22,6 +24,8 @@ func TestGreedyPolicyByteIdentical(t *testing.T) {
 		id  string
 		run func(Options) (*metrics.Table, error)
 	}{
+		{"e1", func(o Options) (*metrics.Table, error) { tb, _, err := RunE1(o); return tb, err }},
+		{"e12", func(o Options) (*metrics.Table, error) { tb, _, err := RunE12(o); return tb, err }},
 		{"e7", func(o Options) (*metrics.Table, error) { tb, _, err := RunE7(o); return tb, err }},
 		{"e14", func(o Options) (*metrics.Table, error) { tb, _, err := RunE14(o); return tb, err }},
 		{"e17", func(o Options) (*metrics.Table, error) { tb, _, err := RunE17(o); return tb, err }},

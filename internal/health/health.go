@@ -38,13 +38,6 @@ const (
 // Healthy components serve.
 func (s State) Serving() bool { return s == Healthy }
 
-// Failed reports whether the component is anywhere in the failure
-// lifecycle (detected or not).
-func (s State) Failed() bool { return s != Healthy }
-
-// Detected reports whether the control plane knows about the failure.
-func (s State) Detected() bool { return s == FailedDetected || s == Repairing }
-
 // PhaseEdges classifies a state transition for latency accounting:
 // inject marks the fault entering the system (a healthy component going
 // dark), detect marks the control plane noticing (leaving
@@ -59,14 +52,6 @@ func PhaseEdges(from, to State) (inject, detect, repair bool) {
 	detect = from == FailedUndetected && (to == FailedDetected || to == Repairing)
 	repair = from != Healthy && to == Healthy
 	return inject, detect, repair
-}
-
-// TransitionLabel renders a state change as "from→to" — the spelling
-// the tracing layer and violation timelines use for health events
-// (trace events carry the two states numerically; this maps them back
-// for humans).
-func TransitionLabel(from, to State) string {
-	return from.String() + "→" + to.String()
 }
 
 func (s State) String() string {

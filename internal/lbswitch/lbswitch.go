@@ -564,22 +564,14 @@ func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
 	return s.appendLoadShare(e, e.loadMbps, nil, nil)
 }
 
-// AppendVIPLoadShare is VIPLoadShare with an explicit load to distribute
-// and caller-provided buffers the results are appended to, so hot paths
-// can reuse scratch space and split a load other than the stored one
-// (demand propagation distributes the fluid-only load while the stored
-// load also carries the discrete-session overlay).
-func (s *Switch) AppendVIPLoadShare(vip VIP, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return rips, mbps, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
-	}
-	return s.appendLoadShare(e, load, rips, mbps)
-}
-
-// AppendVIPLoadShareTagged is AppendVIPLoadShare but also appends each
-// RIP's tag (-1 when unset) to tags, letting the hot path resolve
-// RIP → VM by dense index instead of a string-keyed lookup per RIP.
+// AppendVIPLoadShareTagged is VIPLoadShare with an explicit load to
+// distribute and caller-provided buffers the results are appended to,
+// so hot paths can reuse scratch space and split a load other than the
+// stored one (demand propagation distributes the fluid-only load while
+// the stored load also carries the discrete-session overlay). It also
+// appends each RIP's tag (-1 when unset) to tags, letting the hot path
+// resolve RIP → VM by dense index instead of a string-keyed lookup per
+// RIP.
 func (s *Switch) AppendVIPLoadShareTagged(vip VIP, load float64, rips []RIP, tags []int64, mbps []float64) ([]RIP, []int64, []float64, error) {
 	e, ok := s.vips[vip]
 	if !ok {

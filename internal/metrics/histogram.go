@@ -199,12 +199,3 @@ func (h *Histogram) Merge(o *Histogram) error {
 	}
 	return nil
 }
-
-// Clone returns an independent copy, for merge-without-mutation
-// aggregation (e.g. combining per-priority histograms into a total).
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	c.bounds = slices.Clone(h.bounds)
-	c.counts = slices.Clone(h.counts)
-	return &c
-}

@@ -117,14 +117,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// Kind returns the registered kind of name ("counter", "gauge",
-// "histogram", "availability") or "" if unknown.
-func (r *Registry) Kind(name string) string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.kinds[name]
-}
-
 // Each visits every metric in sorted name order. The visited metric is
 // one of *Counter, *Gauge, *Histogram, *Availability. Callers must not
 // retain the metrics across goroutines; see the type comment.

@@ -2,7 +2,7 @@ package policy
 
 // Greedy is the extracted historical strategy — the exact comparison
 // sequences that used to live inline in viprip.Manager.AddRIP,
-// viprip.Manager.pickSwitchForVIP, and the global manager's
+// viprip.Manager.AddVIP's switch scan, and the global manager's
 // pickTransferTarget / coldestPodWithRoom / pickDonorPod scans. It is
 // the default policy, and TestGreedyPolicyByteIdentical pins the
 // experiment tables it produces against the pre-refactor output, so
@@ -27,8 +27,7 @@ func init() {
 func (g *Greedy) Name() string { return DefaultName }
 
 // VIPSwitch: least pressure, strict-< first-wins — the historical
-// pickSwitchForVIP scan (the enum-selected score function lives with
-// the caller).
+// AddVIP switch scan (the viprip.Policy score lives with the caller).
 func (g *Greedy) VIPSwitch(d Decision) int { return argmin(d, g.stats) }
 
 // VIPForRIP: lowest combined pressure with the historical near-tie

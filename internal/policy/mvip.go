@@ -1,16 +1,15 @@
 package policy
 
-// MVIP promotes the paper's §V-B two-LB-layer m-VIP idea
-// (internal/twolayer) to a first-class single-fabric policy. The
-// two-layer design conserves m-VIPs by concentrating each application
-// on one small stable switch group; here the candidates are hashed
-// into Groups buckets by identity, the actor is hashed to one bucket,
-// and selection runs only inside that bucket (falling back to the full
-// set when the bucket has no feasible member). Within the bucket the
-// twolayer heuristics apply: least-VIPs/least-load for placement
-// (twolayer.leastVIPs) and fewest-RIPs-first for RIP spreading
-// (twolayer.AddRIP). Probes are paid only for the bucket, so the probe
-// bill scales with the group size, not the fabric.
+// MVIP promotes the paper's §V-B two-LB-layer m-VIP idea to a
+// first-class single-fabric policy. The two-layer design conserves
+// m-VIPs by concentrating each application on one small stable switch
+// group; here the candidates are hashed into Groups buckets by
+// identity, the actor is hashed to one bucket, and selection runs only
+// inside that bucket (falling back to the full set when the bucket has
+// no feasible member). Within the bucket the m-VIP heuristics apply:
+// least load for placement and fewest-RIPs-first for RIP spreading.
+// Probes are paid only for the bucket, so the probe bill scales with
+// the group size, not the fabric.
 type MVIP struct {
 	stats  *Stats
 	groups uint64
@@ -61,8 +60,7 @@ func (m *MVIP) bucket(d Decision) []int {
 	return m.scratch
 }
 
-// leastLoad is twolayer.leastVIPs generalized: strict-< argmin over
-// the bucket.
+// leastLoad is the strict-< argmin over the bucket.
 func (m *MVIP) leastLoad(d Decision) int {
 	members := m.bucket(d)
 	best, bestLoad := -1, 0.0
@@ -76,9 +74,8 @@ func (m *MVIP) leastLoad(d Decision) int {
 
 func (m *MVIP) VIPSwitch(d Decision) int { return m.leastLoad(d) }
 
-// VIPForRIP spreads by group size first — twolayer.AddRIP picks the
-// m-VIP with the fewest RIPs — falling back to load when the caller
-// offers no group metric.
+// VIPForRIP spreads by group size first — the VIP with the fewest
+// RIPs — falling back to load when the caller offers no group metric.
 func (m *MVIP) VIPForRIP(d Decision) int {
 	if d.Group == nil {
 		return m.leastLoad(d)

@@ -35,10 +35,9 @@ func (r *RoundRobin) DeployPod(d Decision) int      { return r.pick(KindDeployPo
 func (r *RoundRobin) DonorPod(d Decision) int       { return r.pick(KindDonorPod, d) }
 
 // FirstFit always takes the first feasible candidate — the packing
-// strategy behind the viprip FirstFitPolicy enum value and the E1
-// minimum-switch-count arithmetic. Exported for the enum mapping; not
-// registered as a tournament competitor (it optimizes switch count,
-// not balance, so racing it on satisfaction is uninteresting).
+// strategy of E12's first-fit row (the lowest-ID switch with room).
+// Not registered as a tournament competitor (it optimizes switch
+// count, not balance, so racing it on satisfaction is uninteresting).
 type FirstFit struct{}
 
 // Name implements Placement and Steering.

@@ -24,9 +24,6 @@ type Event struct {
 	canceled bool
 }
 
-// At returns the simulated time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // Canceled reports whether Cancel was called on the event.
 func (e *Event) Canceled() bool { return e.canceled }
 

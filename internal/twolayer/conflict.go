@@ -1,3 +1,11 @@
+// Package twolayer models the paper's Section V-B extension: a
+// two-LB-layer architecture that inserts a demand-distribution layer of
+// LB switches between the access connection layer and the
+// load-balancing layer. External VIPs map to private middle-layer VIPs
+// (m-VIPs), which map to the real RIPs, so selective VIP exposure
+// (access-link balancing) and server-pod balancing become independent
+// knobs. The package quantifies what that decoupling buys: the
+// policy-conflict model behind experiments E11 and E13.
 package twolayer
 
 import (

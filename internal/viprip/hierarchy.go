@@ -16,13 +16,12 @@ import (
 // and hence the work of the switch pod managers."
 //
 // The hierarchy makes each allocation a two-level decision: O(pods) to
-// pick a switch pod (by aggregate pressure), then O(pod size) inside it
-// — instead of scanning every switch. Scans counts switch examinations
-// so experiments can report the work saved.
+// pick a switch pod (by aggregate pressure), then the manager's
+// placement over that pod's switches only — instead of scanning every
+// switch. Scans counts switch examinations so experiments can report
+// the work saved.
 type Hierarchy struct {
-	fabric  *lbswitch.Fabric
-	vipPool *IPPool
-	policy  Policy
+	mgr *Manager
 
 	pods  [][]lbswitch.SwitchID
 	podOf map[lbswitch.SwitchID]int
@@ -33,9 +32,11 @@ type Hierarchy struct {
 	Rebalances int64
 }
 
-// NewHierarchy partitions the fabric's switches into nPods switch pods
-// (round-robin) under the given intra-pod selection policy.
-func NewHierarchy(fabric *lbswitch.Fabric, vipPool *IPPool, nPods int, policy Policy) (*Hierarchy, error) {
+// NewHierarchy partitions the manager's switches into nPods switch pods
+// (round-robin). Allocations inside a pod use the manager's policy and
+// placement.
+func NewHierarchy(mgr *Manager, nPods int) (*Hierarchy, error) {
+	fabric := mgr.fabric
 	if nPods <= 0 {
 		return nil, fmt.Errorf("viprip: need at least one switch pod")
 	}
@@ -43,11 +44,9 @@ func NewHierarchy(fabric *lbswitch.Fabric, vipPool *IPPool, nPods int, policy Po
 		return nil, fmt.Errorf("viprip: %d pods for %d switches", nPods, fabric.NumSwitches())
 	}
 	h := &Hierarchy{
-		fabric:  fabric,
-		vipPool: vipPool,
-		policy:  policy,
-		pods:    make([][]lbswitch.SwitchID, nPods),
-		podOf:   make(map[lbswitch.SwitchID]int),
+		mgr:   mgr,
+		pods:  make([][]lbswitch.SwitchID, nPods),
+		podOf: make(map[lbswitch.SwitchID]int),
 	}
 	for i, sw := range fabric.Switches() {
 		pod := i % nPods
@@ -83,19 +82,14 @@ func (h *Hierarchy) podPressure(pod int) float64 {
 	}
 	var sum float64
 	for _, id := range h.pods[pod] {
-		sw := h.fabric.Switch(id)
-		s := vipPressure(sw)
-		if u := sw.Utilization(); u > s {
-			s = u
-		}
-		sum += s
+		sum += blend(h.mgr.fabric.Switch(id))
 	}
 	return sum / float64(len(h.pods[pod]))
 }
 
 // AddVIP allocates a VIP two-level: least-pressured switch pod first,
-// then the policy inside that pod. Only the chosen pod's switches are
-// scanned.
+// then the manager's placement among that pod's switches (in ascending
+// ID order). Only the chosen pod's switches are scanned.
 func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
 	// Level 1: pick the pod (O(pods), not counted as switch scans —
 	// pressures are maintained by the pod managers in a real system).
@@ -113,61 +107,19 @@ func (h *Hierarchy) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, 
 	if best < 0 {
 		return "", 0, ErrNoSwitch
 	}
-	// Level 2: policy scan inside the pod.
-	sw := h.pickWithin(best)
-	if sw == nil {
-		return "", 0, ErrNoSwitch
-	}
-	addr, err := h.vipPool.Alloc()
-	if err != nil {
-		return "", 0, err
-	}
-	vip := lbswitch.VIP(addr)
-	if err := h.fabric.PlaceVIP(vip, app, sw.ID); err != nil {
-		h.vipPool.Free(addr)
-		return "", 0, err
-	}
-	return vip, sw.ID, nil
+	// Level 2: the manager's placement inside the pod.
+	h.Scans += int64(len(h.pods[best]))
+	return h.mgr.addVIPAmong(app, h.pods[best])
 }
 
 func (h *Hierarchy) podHasRoom(pod int) bool {
 	for _, id := range h.pods[pod] {
-		sw := h.fabric.Switch(id)
+		sw := h.mgr.fabric.Switch(id)
 		if sw.NumVIPs() < sw.Limits.MaxVIPs {
 			return true
 		}
 	}
 	return false
-}
-
-func (h *Hierarchy) pickWithin(pod int) *lbswitch.Switch {
-	var best *lbswitch.Switch
-	bestScore := 0.0
-	for _, id := range h.pods[pod] {
-		h.Scans++
-		sw := h.fabric.Switch(id)
-		if sw.NumVIPs() >= sw.Limits.MaxVIPs {
-			continue
-		}
-		var score float64
-		switch h.policy {
-		case LeastVIPs:
-			score = vipPressure(sw)
-		case LeastLoad:
-			score = sw.Utilization()
-		case Blend:
-			score = vipPressure(sw)
-			if u := sw.Utilization(); u > score {
-				score = u
-			}
-		case FirstFitPolicy:
-			return sw
-		}
-		if best == nil || score < bestScore {
-			best, bestScore = sw, score
-		}
-	}
-	return best
 }
 
 // Rebalance performs the paper's switch redistribution: while some pod
@@ -193,7 +145,7 @@ func (h *Hierarchy) Rebalance() int {
 		// pod membership is management state, not data-plane state).
 		idx := 0
 		for i, id := range h.pods[big] {
-			if h.fabric.Switch(id).Utilization() < h.fabric.Switch(h.pods[big][idx]).Utilization() {
+			if h.mgr.fabric.Switch(id).Utilization() < h.mgr.fabric.Switch(h.pods[big][idx]).Utilization() {
 				idx = i
 			}
 		}
@@ -222,8 +174,8 @@ func (h *Hierarchy) CheckInvariants() error {
 			}
 		}
 	}
-	if len(seen) != h.fabric.NumSwitches() {
-		return fmt.Errorf("viprip: %d switches partitioned, fabric has %d", len(seen), h.fabric.NumSwitches())
+	if len(seen) != h.mgr.fabric.NumSwitches() {
+		return fmt.Errorf("viprip: %d switches partitioned, fabric has %d", len(seen), h.mgr.fabric.NumSwitches())
 	}
 	return nil
 }

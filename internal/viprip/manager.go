@@ -14,26 +14,24 @@ import (
 	"megadc/internal/trace"
 )
 
-// Policy selects the switch for a new VIP. The paper leaves the policy
-// open ("identifies an underloaded switch, i.e., one with few already-
-// configured VIPs and a low data throughput"); the manager implements
-// the obvious candidates, ablated in experiment E12.
+// Policy selects the score that ranks switches for a new VIP. The paper
+// leaves it open ("identifies an underloaded switch, i.e., one with few
+// already-configured VIPs and a low data throughput"); the manager
+// implements the obvious candidates, ablated in experiment E12. The
+// score is one axis; the placement strategy that turns scores into a
+// choice (SetPlacement) is the other.
 type Policy int
 
-// Switch-selection policies.
+// Switch-scoring policies.
 const (
-	// LeastVIPs picks the switch with the fewest configured VIPs.
+	// LeastVIPs scores a switch by its configured-VIP fraction.
 	LeastVIPs Policy = iota
-	// LeastLoad picks the switch with the lowest throughput utilization.
+	// LeastLoad scores a switch by its throughput utilization.
 	LeastLoad
-	// Blend picks the switch minimizing the max of VIP-count fraction
-	// and throughput utilization — the paper's "few already-configured
-	// VIPs AND a low data throughput" reading.
+	// Blend scores a switch by the max of VIP-count fraction and
+	// throughput utilization — the paper's "few already-configured VIPs
+	// AND a low data throughput" reading.
 	Blend
-	// FirstFitPolicy packs VIPs onto the lowest-numbered switch with
-	// room; used by the E1 packing experiment to realize the paper's
-	// minimum-switch-count arithmetic.
-	FirstFitPolicy
 )
 
 func (p Policy) String() string {
@@ -44,8 +42,6 @@ func (p Policy) String() string {
 		return "least-load"
 	case Blend:
 		return "blend"
-	case FirstFitPolicy:
-		return "first-fit"
 	}
 	return fmt.Sprintf("Policy(%d)", int(p))
 }
@@ -98,9 +94,9 @@ type Manager struct {
 
 	// placement is the pluggable strategy behind every switch/VIP
 	// choice (DESIGN.md §15). The default is the extracted greedy,
-	// byte-identical to the historical inline scans; the legacy Policy
-	// enum keeps selecting the VIP-placement score function, so the two
-	// axes compose (E12 sweeps the enum under greedy placement).
+	// byte-identical to the historical inline scans; policy selects the
+	// VIP-placement score it ranks by, so the two axes compose (E12
+	// sweeps the scores under greedy and packs under FirstFit).
 	placement policy.Placement
 	// swCand/vipCand are scratch buffers for per-decision candidate
 	// lists, reused so policy decisions stay allocation-light.
@@ -185,7 +181,7 @@ type Result struct {
 }
 
 // NewManager creates a manager over the fabric with the given IP pools
-// and switch-selection policy.
+// and switch-scoring policy.
 func NewManager(fabric *lbswitch.Fabric, vipPool, ripPool *IPPool, pol Policy) *Manager {
 	return &Manager{
 		fabric:    fabric,
@@ -199,12 +195,6 @@ func NewManager(fabric *lbswitch.Fabric, vipPool, ripPool *IPPool, pol Policy) *
 // Fabric returns the managed switch fabric.
 func (m *Manager) Fabric() *lbswitch.Fabric { return m.fabric }
 
-// Policy returns the active switch-selection policy.
-func (m *Manager) Policy() Policy { return m.policy }
-
-// SetPolicy changes the switch-selection policy.
-func (m *Manager) SetPolicy(p Policy) { m.policy = p }
-
 // SetPlacement swaps the pluggable placement strategy; nil restores
 // the default greedy.
 func (m *Manager) SetPlacement(p policy.Placement) {
@@ -213,9 +203,6 @@ func (m *Manager) SetPlacement(p policy.Placement) {
 	}
 	m.placement = p
 }
-
-// Placement returns the active placement strategy.
-func (m *Manager) Placement() policy.Placement { return m.placement }
 
 // BulkPools returns the VIP and RIP address pools for the parallel
 // bulk-onboarding planner (core's OnboardAppsBulk), which precomputes
@@ -483,10 +470,49 @@ func (m *Manager) traceReq(t trace.Type, r *Request) {
 // the policy, and configures the VIP there. It returns the new VIP and
 // its home switch.
 func (m *Manager) AddVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
-	sw := m.pickSwitchForVIP(app)
-	if sw == nil {
+	m.swCand = m.swCand[:0]
+	for i, n := 0, m.fabric.NumSwitches(); i < n; i++ {
+		m.offerSwitch(lbswitch.SwitchID(i))
+	}
+	return m.placeVIP(app)
+}
+
+// addVIPAmong is AddVIP with the candidate scan restricted to ids, in
+// the given order: the switch-pod hierarchy's in-pod decision.
+func (m *Manager) addVIPAmong(app cluster.AppID, ids []lbswitch.SwitchID) (lbswitch.VIP, lbswitch.SwitchID, error) {
+	m.swCand = m.swCand[:0]
+	for _, id := range ids {
+		m.offerSwitch(id)
+	}
+	return m.placeVIP(app)
+}
+
+// offerSwitch adds the switch to the VIP candidates if it has a spare
+// VIP slot.
+func (m *Manager) offerSwitch(id lbswitch.SwitchID) {
+	if sw := m.fabric.Switch(id); sw.NumVIPs() < sw.Limits.MaxVIPs {
+		m.swCand = append(m.swCand, sw)
+	}
+}
+
+// placeVIP lets the placement choose among the offered candidates by
+// the policy's score (the default greedy runs the historical strict-<
+// argmin over it), then allocates an address and configures the VIP.
+func (m *Manager) placeVIP(app cluster.AppID) (lbswitch.VIP, lbswitch.SwitchID, error) {
+	cands := m.swCand
+	if len(cands) == 0 {
 		return "", 0, ErrNoSwitch
 	}
+	idx := m.placement.VIPSwitch(policy.Decision{
+		Actor: uint64(app),
+		N:     len(cands),
+		Key:   func(i int) uint64 { return uint64(cands[i].ID) },
+		Load:  func(i int) float64 { return m.vipScore(cands[i]) },
+	})
+	if idx < 0 || idx >= len(cands) {
+		return "", 0, ErrNoSwitch
+	}
+	sw := cands[idx]
 	addr, err := m.vipPool.Alloc()
 	if err != nil {
 		return "", 0, err
@@ -675,43 +701,7 @@ func (m *Manager) AdjustWeights(vip lbswitch.VIP, weights []float64) error {
 	return nil
 }
 
-// pickSwitchForVIP selects among the switches with a spare VIP slot
-// (in ID order) via the pluggable placement. The legacy Policy enum
-// chooses the score function (vipScore); the default greedy placement
-// then runs the historical strict-< argmin over it, so every enum
-// value behaves exactly as the pre-framework inline scan did.
-func (m *Manager) pickSwitchForVIP(app cluster.AppID) *lbswitch.Switch {
-	m.swCand = m.swCand[:0]
-	for i, n := 0, m.fabric.NumSwitches(); i < n; i++ {
-		sw := m.fabric.Switch(lbswitch.SwitchID(i))
-		if sw.NumVIPs() >= sw.Limits.MaxVIPs {
-			continue
-		}
-		m.swCand = append(m.swCand, sw)
-	}
-	if len(m.swCand) == 0 {
-		return nil
-	}
-	if m.policy == FirstFitPolicy {
-		// Packing, not balancing: the lowest-ID switch with room,
-		// regardless of placement strategy (E1's arithmetic depends on
-		// it).
-		return m.swCand[0]
-	}
-	cands := m.swCand
-	idx := m.placement.VIPSwitch(policy.Decision{
-		Actor: uint64(app),
-		N:     len(cands),
-		Key:   func(i int) uint64 { return uint64(cands[i].ID) },
-		Load:  func(i int) float64 { return m.vipScore(cands[i]) },
-	})
-	if idx < 0 || idx >= len(cands) {
-		return nil
-	}
-	return cands[idx]
-}
-
-// vipScore is the enum-selected VIP-placement score ("identifies an
+// vipScore is the policy-selected VIP-placement score ("identifies an
 // underloaded switch": few VIPs, low throughput, or the blend).
 func (m *Manager) vipScore(sw *lbswitch.Switch) float64 {
 	switch m.policy {
@@ -720,12 +710,18 @@ func (m *Manager) vipScore(sw *lbswitch.Switch) float64 {
 	case LeastLoad:
 		return sw.Utilization()
 	default: // Blend
-		score := vipPressure(sw)
-		if u := sw.Utilization(); u > score {
-			score = u
-		}
-		return score
+		return blend(sw)
 	}
+}
+
+// blend is the paper's "few VIPs and low throughput" score: the max of
+// the VIP-count fraction and throughput utilization.
+func blend(sw *lbswitch.Switch) float64 {
+	score := vipPressure(sw)
+	if u := sw.Utilization(); u > score {
+		score = u
+	}
+	return score
 }
 
 func vipPressure(sw *lbswitch.Switch) float64 {

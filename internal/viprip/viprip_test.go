@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"megadc/internal/lbswitch"
+	"megadc/internal/policy"
 	"megadc/internal/trace"
 )
 
@@ -380,7 +381,7 @@ func TestMinSwitchCountPaperNumbers(t *testing.T) {
 func TestPolicyStrings(t *testing.T) {
 	for p, want := range map[Policy]string{
 		LeastVIPs: "least-vips", LeastLoad: "least-load",
-		Blend: "blend", FirstFitPolicy: "first-fit", Policy(9): "Policy(9)",
+		Blend: "blend", Policy(9): "Policy(9)",
 	} {
 		if p.String() != want {
 			t.Errorf("%d.String() = %q", int(p), p.String())
@@ -389,17 +390,19 @@ func TestPolicyStrings(t *testing.T) {
 }
 
 // Property: however many AddVIP/AddRIP requests are submitted, no switch
-// ever exceeds its limits, under every policy.
+// ever exceeds its limits, under every score, greedy or first-fit.
 func TestPropertyManagerRespectsLimits(t *testing.T) {
 	f := func(nVIPs, nRIPs uint8, policyRaw uint8) bool {
-		policy := Policy(policyRaw % 4)
 		fab := lbswitch.NewFabric()
 		for i := 0; i < 3; i++ {
 			fab.AddSwitch(lbswitch.Limits{MaxVIPs: 3, MaxRIPs: 6, ThroughputMbps: 100, MaxConns: 10, MaxPPS: 100})
 		}
 		vp, _ := NewIPPool("198.51.100.0", 256)
 		rp, _ := NewIPPool("10.0.0.0", 256)
-		m := NewManager(fab, vp, rp, policy)
+		m := NewManager(fab, vp, rp, Policy(policyRaw%3))
+		if policyRaw&0x80 != 0 {
+			m.SetPlacement(policy.FirstFit{})
+		}
 		for i := 0; i < int(nVIPs%24); i++ {
 			m.AddVIP(1)
 		}
