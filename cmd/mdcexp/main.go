@@ -32,11 +32,12 @@ import (
 )
 
 func main() {
+	defaults := exp.DefaultOptions()
 	var (
 		id          = flag.String("e", "all", "experiment id (e1..e18, x1..x4) or 'all'")
 		full        = flag.Bool("full", false, "run the larger configurations")
-		seed        = flag.Int64("seed", 1, "deterministic seed")
-		auditN      = flag.Int("audit", 10, "run the conservation-law auditor every N Propagate calls (0 disables)")
+		seed        = flag.Int64("seed", defaults.Seed, "deterministic seed")
+		auditN      = flag.Int("audit", defaults.AuditEvery, "run the conservation-law auditor every N Propagate calls (0 disables)")
 		list        = flag.Bool("list", false, "list experiments and exit")
 		asJSON      = flag.Bool("json", false, "emit each table as a JSON document")
 		asMD        = flag.Bool("md", false, "emit each table as GitHub-flavoured markdown")

@@ -114,13 +114,10 @@ type Assembler struct {
 
 	trees map[uint64]*Tree
 	order []uint64 // CauseIDs in first-seen (= allocation) order
-
-	// MaxTrees bounds retained trees: when exceeded, the oldest tree is
-	// evicted (counters keep counting). DefaultMaxTrees when zero.
-	MaxTrees int
 }
 
-// DefaultMaxTrees is the retained-tree cap used when MaxTrees is 0.
+// DefaultMaxTrees bounds retained trees: when exceeded, the oldest tree
+// is evicted (counters keep counting).
 const DefaultMaxTrees = 4096
 
 // New creates an assembler recording metrics into reg (a fresh registry
@@ -228,11 +225,7 @@ func (a *Assembler) open(e *trace.Event) {
 	a.trees[e.Cause] = t
 	a.order = append(a.order, e.Cause)
 	a.reg.Counter("causal.decisions").Add(1)
-	max := a.MaxTrees
-	if max <= 0 {
-		max = DefaultMaxTrees
-	}
-	if len(a.order) > max {
+	if len(a.order) > DefaultMaxTrees {
 		delete(a.trees, a.order[0])
 		a.order = a.order[1:]
 		a.reg.Counter("causal.evicted").Add(1)

@@ -454,11 +454,6 @@ func (c *Cluster) PodCapacity(pod PodID) Resources {
 	return u
 }
 
-// PodUtilization returns the pod's max-dimension utilization fraction.
-func (c *Cluster) PodUtilization(pod PodID) float64 {
-	return c.PodUsed(pod).MaxFraction(c.PodCapacity(pod))
-}
-
 // PodDemand returns the summed client demand on VMs hosted in the pod.
 func (c *Cluster) PodDemand(pod PodID) Resources {
 	p := c.Pod(pod)

@@ -278,13 +278,6 @@ func TestPodAggregates(t *testing.T) {
 	if got := c.PodNumVMs(pods[0].ID); got != 2 {
 		t.Errorf("PodNumVMs = %d", got)
 	}
-	wantUtil := testSlice().Scale(2).MaxFraction(testServer().Scale(2))
-	if got := c.PodUtilization(pods[0].ID); got != wantUtil {
-		t.Errorf("PodUtilization = %v, want %v", got, wantUtil)
-	}
-	if got := c.PodUtilization(999); got != 0 {
-		t.Errorf("missing pod utilization = %v", got)
-	}
 	vms := c.AppVMsInPod(app.ID, pods[0].ID)
 	if len(vms) != 2 || vms[0] != v1.ID || vms[1] != v2.ID {
 		t.Errorf("AppVMsInPod = %v", vms)

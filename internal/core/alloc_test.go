@@ -33,7 +33,7 @@ func allocTestPlatform(t testing.TB, workers int) *Platform {
 	return p
 }
 
-// TestPropagateStadyTickAllocFree pins the steady-state incremental
+// TestPropagateSteadyTickAllocFree pins the steady-state incremental
 // tick — one app's demand changes, Propagate recomputes it — at zero
 // heap allocations.
 func TestPropagateSteadyTickAllocFree(t *testing.T) {

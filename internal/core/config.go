@@ -62,11 +62,6 @@ type Config struct {
 	// Knob enables, indexed by Knob. All on by default.
 	Knobs [numKnobs]bool
 
-	// ElephantGuard enables the Section IV-C/D mitigation that moves
-	// servers (with their instances) out of pods whose size would
-	// overwhelm the pod manager.
-	ElephantGuard bool
-
 	// Pod sizing targets (Section III-A: ~5,000 servers / ~10,000 VMs).
 	MaxPodServers int
 	MaxPodVMs     int
@@ -158,7 +153,7 @@ type Config struct {
 	// attaches per-entity event timelines to audit violation reports.
 	// Nil (the default) disables tracing entirely — the disabled path
 	// adds no work and no allocations to the steady-state Propagate tick
-	// (guarded by BENCH_propagate.json).
+	// (guarded by TestPropagateSteadyTickAllocFree).
 	Trace *trace.Recorder
 
 	// TraceSampleEvery is the period (simulated seconds) of the traced
@@ -220,7 +215,6 @@ type Config struct {
 // experiments, matching the paper's stated targets.
 func DefaultConfig() Config {
 	c := Config{
-		ElephantGuard:         true,
 		MaxPodServers:         5000,
 		MaxPodVMs:             10000,
 		PodOverloadUtil:       0.85,

@@ -117,9 +117,7 @@ func (g *GlobalManager) Step() {
 	if cfg.Enabled(KnobServerTransfer) {
 		g.transferServersToRelievePods()
 	}
-	if cfg.ElephantGuard {
-		g.guardElephantPods()
-	}
+	g.guardElephantPods()
 }
 
 // ---- Knob A: selective VIP exposure -------------------------------------

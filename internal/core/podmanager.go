@@ -102,21 +102,6 @@ func (pm *PodManager) Utilization() float64 {
 	return pm.p.Cluster.PodDemand(pm.pod).CPU / capRes.CPU
 }
 
-// SliceUtilization returns allocated slices over capacity.
-func (pm *PodManager) SliceUtilization() float64 {
-	return pm.p.Cluster.PodUtilization(pm.pod)
-}
-
-// DecisionSpace returns servers × VMs — the size proxy for the pod
-// manager's allocation problem (E3's x-axis at fixed cluster size).
-func (pm *PodManager) DecisionSpace() int {
-	pd := pm.p.Cluster.Pod(pm.pod)
-	if pd == nil {
-		return 0
-	}
-	return pd.NumServers() * pm.p.Cluster.PodNumVMs(pm.pod)
-}
-
 // Step runs one control iteration: shrink idle slices, grow overloaded
 // ones (knob E), rebalance intra-pod RIP weights (knob F), and scale out
 // overloaded applications locally.

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -123,27 +121,6 @@ type propPool struct {
 	wg     sync.WaitGroup
 	apps   []int32 // the pass's work list, read-only during the pass
 	cursor atomic.Int64
-}
-
-// insertSorted inserts v into sorted s if absent, keeping s sorted.
-func insertSorted[T cmp.Ordered](s []T, v T) []T {
-	i, found := slices.BinarySearch(s, v)
-	if found {
-		return s
-	}
-	var zero T
-	s = append(s, zero)
-	copy(s[i+1:], s[i:])
-	s[i] = v
-	return s
-}
-
-// removeSorted removes v from sorted s if present.
-func removeSorted[T cmp.Ordered](s []T, v T) []T {
-	if i, found := slices.BinarySearch(s, v); found {
-		s = append(s[:i], s[i+1:]...)
-	}
-	return s
 }
 
 // markAppDirty queues app for recomputation on the next Propagate.

@@ -44,10 +44,6 @@ type ScaleSpec struct {
 	Slice cluster.Resources
 }
 
-// PaperScaleSpec is the paper's headline build-out: 300K servers, 300K
-// elastic applications, 20 instances each — 6M VMs behind 6M RIPs.
-func PaperScaleSpec() ScaleSpec { return ScaleSpecFor(300_000) }
-
 // ScaleSpecFor derives a proportional tier of the paper-scale platform
 // from its server count (the scale index of BENCH_scale.json): as many
 // apps as servers, 20 instances per app, so every server carries ~20

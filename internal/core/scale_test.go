@@ -131,7 +131,7 @@ func TestPaperScale300K(t *testing.T) {
 	if os.Getenv("MEGADC_PAPER_SCALE") == "" {
 		t.Skip("set MEGADC_PAPER_SCALE=1 to run the 300K acceptance build")
 	}
-	spec := PaperScaleSpec()
+	spec := ScaleSpecFor(300_000)
 	start := time.Now()
 	p := buildScale(t, spec)
 	t.Logf("constructed %d servers / %d apps / %d VMs in %v",

@@ -23,8 +23,7 @@ type ClientPopulation struct {
 	app cluster.AppID
 	dns *DNS
 
-	violatorFraction float64 // fraction of clients that ignore TTL
-	violationHold    float64 // extra seconds a violator keeps a stale entry
+	violationHold float64 // extra seconds a violator keeps a stale entry
 
 	clients []clientCache
 }
@@ -49,11 +48,10 @@ func NewClientPopulation(dns *DNS, app cluster.AppID, n int, violatorFraction, v
 		return nil, fmt.Errorf("dnsctl: negative violation hold %v", violationHold)
 	}
 	p := &ClientPopulation{
-		app:              app,
-		dns:              dns,
-		violatorFraction: violatorFraction,
-		violationHold:    violationHold,
-		clients:          make([]clientCache, n),
+		app:           app,
+		dns:           dns,
+		violationHold: violationHold,
+		clients:       make([]clientCache, n),
 	}
 	for i := range p.clients {
 		p.clients[i].expiry = -1 // nothing cached
@@ -81,23 +79,3 @@ func (p *ClientPopulation) Arrive(t float64, rng *rand.Rand) (string, error) {
 	}
 	return c.vip, nil
 }
-
-// UsingVIP returns the fraction of clients whose *currently cached and
-// unexpired* entry (at time t) is vip. Clients with no valid cache count
-// as not using it.
-func (p *ClientPopulation) UsingVIP(vip string, t float64) float64 {
-	n := 0
-	for i := range p.clients {
-		c := &p.clients[i]
-		if c.vip == vip && c.expiry >= 0 && t <= c.expiry {
-			n++
-		}
-	}
-	return float64(n) / float64(len(p.clients))
-}
-
-// Size returns the number of sampled clients.
-func (p *ClientPopulation) Size() int { return len(p.clients) }
-
-// ViolatorFraction returns the configured TTL-violator fraction.
-func (p *ClientPopulation) ViolatorFraction() float64 { return p.violatorFraction }

@@ -119,22 +119,6 @@ func (d *DNS) Register(app cluster.AppID, vip string, weight float64) error {
 	return nil
 }
 
-// Unregister removes a VIP from app's record.
-func (d *DNS) Unregister(app cluster.AppID, vip string) error {
-	r := d.records[app]
-	if r == nil {
-		return fmt.Errorf("%w: %d", ErrNoApp, app)
-	}
-	for i, e := range r.vips {
-		if e.vip == vip {
-			r.vips = append(r.vips[:i], r.vips[i+1:]...)
-			d.changed(app, r)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrNoVIP, vip)
-}
-
 // SetWeight changes the exposure weight of one VIP. Weight 0 stops
 // exposing the VIP to new resolutions (the drain step of knob B).
 func (d *DNS) SetWeight(app cluster.AppID, vip string, weight float64) error {

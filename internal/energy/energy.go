@@ -118,12 +118,6 @@ func NewConsolidator(p *core.Platform) *Consolidator {
 // PoweredOff returns the number of currently powered-off servers.
 func (c *Consolidator) PoweredOff() int { return len(c.off) }
 
-// IsOff reports whether the consolidator powered the server off.
-func (c *Consolidator) IsOff(id cluster.ServerID) bool {
-	_, ok := c.off[id]
-	return ok
-}
-
 // Step runs one consolidation pass over every pod.
 func (c *Consolidator) Step() {
 	for _, pm := range c.p.PodManagers() {

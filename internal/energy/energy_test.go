@@ -125,7 +125,7 @@ func TestConsolidatorPowersBackOnUnderLoad(t *testing.T) {
 	// Restored server has its capacity back.
 	for _, id := range p.Cluster.ServerIDs() {
 		srv := p.Cluster.Server(id)
-		if !c.IsOff(id) && srv.Capacity.IsZero() {
+		if _, off := c.off[id]; !off && srv.Capacity.IsZero() {
 			t.Errorf("server %d on but zero capacity", id)
 		}
 	}

@@ -45,8 +45,8 @@ type Options struct {
 	Registry *metrics.Registry
 }
 
-// DefaultOptions returns the defaults used by cmd/mdcexp and the
-// benches: seed 1, auditing every 10th propagation — the experiments
+// DefaultOptions returns the defaults of cmd/mdcexp's -seed and -audit
+// flags: seed 1, auditing every 10th propagation — the experiments
 // double as a standing end-to-end audit at negligible cost.
 func DefaultOptions() Options { return Options{Seed: 1, AuditEvery: 10} }
 

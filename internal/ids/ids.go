@@ -64,9 +64,6 @@ func (in *Interner[K]) Lookup(k K) (Index, bool) {
 // assigned, exactly like an out-of-range slice index.
 func (in *Interner[K]) Key(i Index) K { return in.keys[i] }
 
-// Len returns the number of interned keys; valid indices are [0, Len).
-func (in *Interner[K]) Len() int { return len(in.keys) }
-
 // Bitset is a growable set of small non-negative integers. The zero
 // value is an empty set. All methods tolerate out-of-range reads
 // (absent) and grow on writes, so callers can index by entity ID

@@ -34,7 +34,7 @@ func TestInternerRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return in.Len() == order
+		return len(in.keys) == order
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

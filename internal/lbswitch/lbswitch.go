@@ -181,9 +181,6 @@ func (s *Switch) NumVIPs() int { return len(s.vips) }
 // NumRIPs returns the total number of configured RIPs across all VIPs.
 func (s *Switch) NumRIPs() int { return s.totalRIPs }
 
-// NumConns returns the number of tracked active connections.
-func (s *Switch) NumConns() int { return len(s.conns) }
-
 // HasVIP reports whether vip is configured on the switch.
 func (s *Switch) HasVIP(vip VIP) bool { _, ok := s.vips[vip]; return ok }
 
@@ -370,19 +367,6 @@ func (s *Switch) Weights(vip VIP) (rips []RIP, weights []float64, err error) {
 	return rips, weights, nil
 }
 
-// TotalWeight returns the sum of RIP weights for vip.
-func (s *Switch) TotalWeight(vip VIP) (float64, error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
-	}
-	var sum float64
-	for _, re := range e.rips {
-		sum += re.weight
-	}
-	return sum, nil
-}
-
 // PickRIP performs one weighted load-balancing decision for vip.
 func (s *Switch) PickRIP(vip VIP, rng *rand.Rand) (RIP, error) {
 	e, ok := s.vips[vip]
@@ -464,20 +448,6 @@ func (s *Switch) VIPConns(vip VIP) int {
 	return 0
 }
 
-// RIPConns returns per-RIP active connection counts for vip, in the RIP
-// group's insertion order.
-func (s *Switch) RIPConns(vip VIP) (rips []RIP, counts []int) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return nil, nil
-	}
-	for _, re := range e.rips {
-		rips = append(rips, re.rip)
-		counts = append(counts, re.conns)
-	}
-	return rips, counts
-}
-
 // SetVIPLoad sets the fluid offered load on vip in Mbps. The fluid model
 // and the connection model coexist; experiments use whichever granularity
 // they need.
@@ -553,22 +523,12 @@ func (s *Switch) BottleneckUtilization() float64 {
 	return u
 }
 
-// VIPLoadShare distributes vip's fluid load over its RIPs according to
-// weights, returning parallel slices. This is the fluid-model equivalent
-// of weighted connection balancing.
-func (s *Switch) VIPLoadShare(vip VIP) (rips []RIP, mbps []float64, err error) {
-	e, ok := s.vips[vip]
-	if !ok {
-		return nil, nil, fmt.Errorf("%w: %s on switch %d", ErrNoSuchVIP, vip, s.ID)
-	}
-	return s.appendLoadShare(e, e.loadMbps, nil, nil)
-}
-
-// AppendVIPLoadShareTagged is VIPLoadShare with an explicit load to
-// distribute and caller-provided buffers the results are appended to,
-// so hot paths can reuse scratch space and split a load other than the
-// stored one (demand propagation distributes the fluid-only load while
-// the stored load also carries the discrete-session overlay). It also
+// AppendVIPLoadShareTagged distributes load over vip's RIPs according
+// to their weights — the fluid-model equivalent of weighted connection
+// balancing — appending the results to caller-provided buffers, so hot
+// paths can reuse scratch space and split a load other than the stored
+// one (demand propagation distributes the fluid-only load while the
+// stored load also carries the discrete-session overlay). It also
 // appends each RIP's tag (-1 when unset) to tags, letting the hot path
 // resolve RIP → VM by dense index instead of a string-keyed lookup per
 // RIP.
@@ -591,22 +551,6 @@ func (s *Switch) AppendVIPLoadShareTagged(vip VIP, load float64, rips []RIP, tag
 		mbps = append(mbps, share)
 	}
 	return rips, tags, mbps, nil
-}
-
-func (s *Switch) appendLoadShare(e *vipEntry, load float64, rips []RIP, mbps []float64) ([]RIP, []float64, error) {
-	var total float64
-	for _, re := range e.rips {
-		total += re.weight
-	}
-	for _, re := range e.rips {
-		rips = append(rips, re.rip)
-		share := 0.0
-		if total > 0 {
-			share = load * re.weight / total
-		}
-		mbps = append(mbps, share)
-	}
-	return rips, mbps, nil
 }
 
 // ExportVIP captures vip's full configuration (app, RIP group, weights,

@@ -142,20 +142,16 @@ func TestConnLifecycleAndAffinity(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	if s.NumConns() != 10 || s.VIPConns("v") != 10 {
-		t.Errorf("conns = %d/%d", s.NumConns(), s.VIPConns("v"))
+	if len(s.conns) != 10 || s.VIPConns("v") != 10 {
+		t.Errorf("conns = %d/%d", len(s.conns), s.VIPConns("v"))
 	}
 	// Limit reached.
 	if _, _, err := s.OpenConn("v", rng); !errors.Is(err, ErrConnLimit) {
 		t.Errorf("11th conn err = %v, want ErrConnLimit", err)
 	}
-	rips, counts := s.RIPConns("v")
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 10 || len(rips) != 2 {
-		t.Errorf("RIPConns = %v %v", rips, counts)
+	rips := s.vips["v"].rips
+	if len(rips) != 2 || rips[0].conns+rips[1].conns != 10 {
+		t.Errorf("per-RIP conns = %d+%d", rips[0].conns, rips[1].conns)
 	}
 	for _, id := range ids {
 		if !s.CloseConn(id) {
@@ -165,8 +161,8 @@ func TestConnLifecycleAndAffinity(t *testing.T) {
 	if s.CloseConn(ids[0]) {
 		t.Error("double close returned true")
 	}
-	if s.NumConns() != 0 || s.VIPConns("v") != 0 {
-		t.Errorf("conns after close = %d/%d", s.NumConns(), s.VIPConns("v"))
+	if len(s.conns) != 0 || s.VIPConns("v") != 0 {
+		t.Errorf("conns after close = %d/%d", len(s.conns), s.VIPConns("v"))
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -186,7 +182,7 @@ func TestRemoveVIPBlockedByConns(t *testing.T) {
 	if err != nil || broken != 1 {
 		t.Errorf("forced remove = %d,%v", broken, err)
 	}
-	if s.NumVIPs() != 0 || s.NumRIPs() != 0 || s.NumConns() != 0 {
+	if s.NumVIPs() != 0 || s.NumRIPs() != 0 || len(s.conns) != 0 {
 		t.Error("state not cleaned after forced remove")
 	}
 	if _, err := s.RemoveVIP("v", false); !errors.Is(err, ErrNoSuchVIP) {
@@ -206,16 +202,16 @@ func TestRemoveRIPBreaksItsConns(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		s.OpenConn("v", rng)
 	}
-	_, counts := s.RIPConns("v")
+	r1Conns := s.vips["v"].rips[0].conns
 	broken, err := s.RemoveRIP("v", "r1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if broken != counts[0] {
-		t.Errorf("broken = %d, want %d", broken, counts[0])
+	if broken != r1Conns {
+		t.Errorf("broken = %d, want %d", broken, r1Conns)
 	}
-	if s.VIPConns("v") != 8-counts[0] {
-		t.Errorf("VIP conns = %d, want %d", s.VIPConns("v"), 8-counts[0])
+	if s.VIPConns("v") != 8-r1Conns {
+		t.Errorf("VIP conns = %d, want %d", s.VIPConns("v"), 8-r1Conns)
 	}
 	if s.NumRIPs() != 1 {
 		t.Errorf("NumRIPs = %d", s.NumRIPs())
@@ -235,9 +231,6 @@ func TestSetWeightAndTotal(t *testing.T) {
 	s.AddRIP("v", "r2", 2)
 	if err := s.SetWeight("v", "r1", 5); err != nil {
 		t.Fatal(err)
-	}
-	if tw, _ := s.TotalWeight("v"); tw != 7 {
-		t.Errorf("TotalWeight = %v, want 7", tw)
 	}
 	rips, ws, _ := s.Weights("v")
 	if len(rips) != 2 || ws[0] != 5 || ws[1] != 2 {
@@ -286,12 +279,15 @@ func TestVIPLoadShare(t *testing.T) {
 	s.AddRIP("v", "r1", 1)
 	s.AddRIP("v", "r3", 3)
 	s.SetVIPLoad("v", 100)
-	rips, mbps, err := s.VIPLoadShare("v")
+	rips, tags, mbps, err := s.AppendVIPLoadShareTagged("v", s.VIPLoad("v"), nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rips[0] != "r1" || mbps[0] != 25 || mbps[1] != 75 {
-		t.Errorf("share = %v %v", rips, mbps)
+	if rips[0] != "r1" || mbps[0] != 25 || mbps[1] != 75 || tags[0] != -1 {
+		t.Errorf("share = %v %v %v", rips, tags, mbps)
+	}
+	if _, _, _, err := s.AppendVIPLoadShareTagged("w", 1, nil, nil, nil); !errors.Is(err, ErrNoSuchVIP) {
+		t.Errorf("missing vip err = %v", err)
 	}
 }
 

@@ -16,13 +16,13 @@ func Example() {
 
 	tb := metrics.NewTable("demo", "metric", "value")
 	tb.AddRow("avg util", util.Average(100))
-	tb.AddRow("peak util", util.Max())
+	tb.AddRow("final util", util.Value())
 	tb.Render(os.Stdout)
 	// Output:
 	// time-weighted average over 100 s: 0.44
 	// == demo ==
-	// metric     value
-	// ---------  -----
-	// avg util   0.44
-	// peak util  0.8
+	// metric      value
+	// ----------  -----
+	// avg util    0.44
+	// final util  0.8
 }

@@ -104,14 +104,6 @@ func (h *Histogram) Count() uint64 { return h.count }
 // Sum returns the compensated sum of all observations.
 func (h *Histogram) Sum() float64 { return h.sum + h.comp }
 
-// Mean returns the arithmetic mean, or 0 for an empty histogram.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.Sum() / float64(h.count)
-}
-
 // Min returns the smallest observation, or 0 for an empty histogram.
 func (h *Histogram) Min() float64 {
 	if h.count == 0 {
@@ -167,12 +159,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return math.Min(math.Max(v, h.min), h.max)
 	}
 	return h.max // unreachable unless counts desynced from count
-}
-
-// Buckets returns copies of the bucket upper bounds and counts (the
-// final count is the overflow bucket, whose bound is +Inf).
-func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
-	return slices.Clone(h.bounds), slices.Clone(h.counts)
 }
 
 // Merge adds o's observations into h. Both histograms must share the

@@ -33,15 +33,13 @@ func (c *Counter) Value() int64 { return c.n }
 func (c *Counter) Reset() { c.n = 0 }
 
 // Gauge tracks a piecewise-constant value over simulated time and can
-// report its time-weighted average, maximum, and final value.
+// report its time-weighted average and final value.
 type Gauge struct {
 	started  bool
 	startT   float64
 	lastT    float64
 	lastV    float64
 	weighted float64 // integral of value over time
-	max      float64
-	min      float64
 }
 
 // Set records that the gauge took value v at time t. Times must be
@@ -50,7 +48,6 @@ func (g *Gauge) Set(t, v float64) {
 	if !g.started {
 		g.started = true
 		g.startT, g.lastT, g.lastV = t, t, v
-		g.max, g.min = v, v
 		return
 	}
 	if t < g.lastT {
@@ -58,25 +55,10 @@ func (g *Gauge) Set(t, v float64) {
 	}
 	g.weighted += g.lastV * (t - g.lastT)
 	g.lastT, g.lastV = t, v
-	if v > g.max {
-		g.max = v
-	}
-	if v < g.min {
-		g.min = v
-	}
 }
-
-// Add records a relative change of d at time t.
-func (g *Gauge) Add(t, d float64) { g.Set(t, g.lastV+d) }
 
 // Value returns the most recently set value.
 func (g *Gauge) Value() float64 { return g.lastV }
-
-// Max returns the maximum value ever set.
-func (g *Gauge) Max() float64 { return g.max }
-
-// Min returns the minimum value ever set.
-func (g *Gauge) Min() float64 { return g.min }
 
 // Average returns the time-weighted average of the gauge from its first
 // Set up to time t. It returns the last value if no time has elapsed.
@@ -140,15 +122,6 @@ func (s *Sample) Stddev() float64 {
 	return math.Sqrt(ss / float64(len(s.xs)))
 }
 
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.sort()
-	return s.xs[0]
-}
-
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -202,36 +175,6 @@ func (s *Series) Record(t, v float64) { s.pts = append(s.pts, Point{t, v}) }
 // Points returns the recorded points. The returned slice is owned by the
 // series and must not be modified.
 func (s *Series) Points() []Point { return s.pts }
-
-// Last returns the most recent point, or a zero Point for an empty series.
-func (s *Series) Last() Point {
-	if len(s.pts) == 0 {
-		return Point{}
-	}
-	return s.pts[len(s.pts)-1]
-}
-
-// FirstAbove returns the earliest time at which the series value was
-// strictly greater than threshold, and whether such a point exists.
-func (s *Series) FirstAbove(threshold float64) (float64, bool) {
-	for _, p := range s.pts {
-		if p.V > threshold {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
-// FirstBelow returns the earliest time at which the series value was
-// strictly less than threshold, and whether such a point exists.
-func (s *Series) FirstBelow(threshold float64) (float64, bool) {
-	for _, p := range s.pts {
-		if p.V < threshold {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
 
 // Imbalance summarizes how uneven a load vector is: the ratio of the
 // maximum element to the mean. 1.0 is perfectly balanced. It returns 0

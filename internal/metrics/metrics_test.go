@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -45,24 +46,8 @@ func TestGaugeTimeWeightedAverage(t *testing.T) {
 	if got := g.Average(10); !almostEqual(got, want) {
 		t.Errorf("Average(10) = %v, want %v", got, want)
 	}
-	if g.Max() != 20 || g.Min() != 10 {
-		t.Errorf("Max/Min = %v/%v, want 20/10", g.Max(), g.Min())
-	}
 	if g.Value() != 20 {
 		t.Errorf("Value = %v, want 20", g.Value())
-	}
-}
-
-func TestGaugeAdd(t *testing.T) {
-	var g Gauge
-	g.Set(0, 5)
-	g.Add(2, 3)
-	g.Add(4, -8)
-	if g.Value() != 0 {
-		t.Errorf("Value = %v, want 0", g.Value())
-	}
-	if g.Min() != 0 || g.Max() != 8 {
-		t.Errorf("Min/Max = %v/%v, want 0/8", g.Min(), g.Max())
 	}
 }
 
@@ -93,8 +78,8 @@ func TestSampleStats(t *testing.T) {
 	if s.N() != 5 || s.Sum() != 15 || s.Mean() != 3 {
 		t.Errorf("N/Sum/Mean = %d/%v/%v", s.N(), s.Sum(), s.Mean())
 	}
-	if s.Min() != 1 || s.Max() != 5 {
-		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
+	if s.Max() != 5 {
+		t.Errorf("Max = %v", s.Max())
 	}
 	if got := s.Quantile(0.5); got != 3 {
 		t.Errorf("median = %v, want 3", got)
@@ -122,7 +107,7 @@ func TestSampleQuantileInterpolation(t *testing.T) {
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Min() != 0 || s.Max() != 0 || s.Quantile(0.9) != 0 || s.Stddev() != 0 {
+	if s.Mean() != 0 || s.Max() != 0 || s.Quantile(0.9) != 0 || s.Stddev() != 0 {
 		t.Error("empty sample should return zeros")
 	}
 }
@@ -143,24 +128,13 @@ func TestSeries(t *testing.T) {
 	s.Record(1, 10)
 	s.Record(2, 30)
 	s.Record(3, 5)
-	if got := s.Last(); got.T != 3 || got.V != 5 {
-		t.Errorf("Last = %+v", got)
-	}
-	if at, ok := s.FirstAbove(20); !ok || at != 2 {
-		t.Errorf("FirstAbove(20) = %v,%v; want 2,true", at, ok)
-	}
-	if at, ok := s.FirstBelow(8); !ok || at != 3 {
-		t.Errorf("FirstBelow(8) = %v,%v; want 3,true", at, ok)
-	}
-	if _, ok := s.FirstAbove(100); ok {
-		t.Error("FirstAbove(100) should not exist")
-	}
-	if len(s.Points()) != 3 {
-		t.Errorf("Points len = %d", len(s.Points()))
+	want := []Point{{1, 10}, {2, 30}, {3, 5}}
+	if got := s.Points(); !slices.Equal(got, want) {
+		t.Errorf("Points = %v, want %v", got, want)
 	}
 	var empty Series
-	if p := empty.Last(); p != (Point{}) {
-		t.Errorf("empty Last = %+v", p)
+	if got := empty.Points(); len(got) != 0 {
+		t.Errorf("empty Points = %v", got)
 	}
 }
 
@@ -303,7 +277,7 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 			q1, q2 = q2, q1
 		}
 		a, b := s.Quantile(q1), s.Quantile(q2)
-		return a <= b && a >= s.Min() && b <= s.Max()
+		return a <= b && a >= s.xs[0] && b <= s.Max() // Quantile sorted xs
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(2))}); err != nil {
 		t.Error(err)
@@ -311,13 +285,14 @@ func TestPropertyQuantileMonotone(t *testing.T) {
 }
 
 // Property: the time-weighted average of a gauge always lies within
-// [Min, Max].
+// the range of the values set.
 func TestPropertyGaugeAverageBounded(t *testing.T) {
 	f := func(vals []float64) bool {
 		if len(vals) == 0 {
 			return true
 		}
 		var g Gauge
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for i, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0
@@ -326,10 +301,11 @@ func TestPropertyGaugeAverageBounded(t *testing.T) {
 			// the property under test is averaging, not overflow.
 			v = math.Mod(v, 1e6)
 			g.Set(float64(i), v)
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
 		}
 		avg := g.Average(float64(len(vals)))
 		const eps = 1e-9
-		return avg >= g.Min()-eps && avg <= g.Max()+eps
+		return avg >= lo-eps && avg <= hi+eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(3))}); err != nil {
 		t.Error(err)
@@ -349,7 +325,7 @@ func TestPropertyQuantileMatchesSort(t *testing.T) {
 			s.Observe(float64(v))
 		}
 		sort.Float64s(vals)
-		return s.Min() == vals[0] && s.Max() == vals[len(vals)-1]
+		return s.Quantile(0) == vals[0] && s.Max() == vals[len(vals)-1]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)

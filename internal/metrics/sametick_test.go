@@ -24,19 +24,6 @@ func TestGaugeSameTickSet(t *testing.T) {
 	if got := g.Average(20); got != 2 {
 		t.Fatalf("Average(20) = %v, want 2 (same-tick sets carry no weight)", got)
 	}
-	if got, want := g.Max(), 7.0; got != want {
-		t.Fatalf("Max = %v, want %v (same-tick extremes still observed)", got, want)
-	}
-}
-
-func TestGaugeSameTickAdd(t *testing.T) {
-	g := &Gauge{}
-	g.Set(5, 1)
-	g.Add(5, 3) // same tick as the initial set
-	g.Add(5, -2)
-	if got := g.Value(); got != 2 {
-		t.Fatalf("Value = %v, want 2", got)
-	}
 }
 
 func TestAvailabilitySameTickObserve(t *testing.T) {

@@ -87,9 +87,6 @@ func (f *Federation) AddDC(name string, topo core.Topology, cfg core.Config) (*D
 	return dc, nil
 }
 
-// DCs returns the member data centers in registration order.
-func (f *Federation) DCs() []*DC { return append([]*DC(nil), f.dcs...) }
-
 // OnboardApp onboards a federated application into the listed DCs (all
 // DCs when none are listed) with equal initial shares, then applies the
 // demand.
@@ -150,16 +147,6 @@ func (f *Federation) Shares(id FedAppID) map[string]float64 {
 		}
 	}
 	return out
-}
-
-// LocalApp returns the app's local ID within a DC.
-func (f *Federation) LocalApp(id FedAppID, dc *DC) (cluster.AppID, bool) {
-	fa, ok := f.apps[id]
-	if !ok {
-		return 0, false
-	}
-	local, ok := fa.locals[dc.id]
-	return local, ok
 }
 
 func (f *Federation) apply(fa *fedApp) {

@@ -44,7 +44,7 @@ func TestOnboardSplitsDemandEvenly(t *testing.T) {
 		t.Errorf("shares = %v", shares)
 	}
 	for _, dc := range []*DC{big, small} {
-		local, ok := f.LocalApp(id, dc)
+		local, ok := f.apps[id].locals[dc.id]
 		if !ok {
 			t.Fatalf("no local app in %s", dc.Name)
 		}
@@ -66,7 +66,7 @@ func TestOnboardSubsetOfDCs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := f.LocalApp(id, small); ok {
+	if _, ok := f.apps[id].locals[small.id]; ok {
 		t.Error("app onboarded in unlisted DC")
 	}
 	if got := f.Shares(id)["big"]; got != 1 {
@@ -114,9 +114,8 @@ func TestStepShiftsDemandFromHotToColdDC(t *testing.T) {
 	}
 	// Total demand conserved across DCs.
 	var total float64
-	for _, dc := range f.DCs() {
-		local, _ := f.LocalApp(id, dc)
-		total += dc.P.AppDemand(local).CPU
+	for _, dc := range f.dcs {
+		total += dc.P.AppDemand(f.apps[id].locals[dc.id]).CPU
 	}
 	if math.Abs(total-110) > 1e-6 {
 		t.Errorf("demand not conserved: %v", total)

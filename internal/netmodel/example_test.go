@@ -6,8 +6,8 @@ import (
 	"megadc/internal/netmodel"
 )
 
-// Route advertisement with AS-path padding — the mechanics behind both
-// selective VIP exposure (no route changes) and the naive baseline.
+// Route advertisement with AS-path padding: a padded route gives
+// reachability as a backup but attracts no traffic.
 func Example() {
 	n := netmodel.New()
 	ar := n.AddAccessRouter("isp-a")
@@ -19,14 +19,8 @@ func Example() {
 	n.Advertise("vip-1", l2.ID, true) // padded backup: reachability, no traffic
 	n.SetVIPTraffic("vip-1", 600)
 	fmt.Printf("primary %.0f Mbps, padded backup %.0f Mbps\n", l1.LoadMbps(), l2.LoadMbps())
-
-	// Unpadding the backup (the naive TE transition) splits the traffic.
-	n.SetPadded("vip-1", l2.ID, false)
-	fmt.Printf("after unpad: %.0f / %.0f, route updates so far: %d\n",
-		l1.LoadMbps(), l2.LoadMbps(), n.RouteUpdates)
 	// Output:
 	// primary 600 Mbps, padded backup 0 Mbps
-	// after unpad: 300 / 300, route updates so far: 3
 }
 
 // The hose-model fabric: admissibility is per-host, nothing else.

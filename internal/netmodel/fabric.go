@@ -72,18 +72,6 @@ func (h *HoseFabric) Offer(f Flow) error {
 	return nil
 }
 
-// Release removes a previously offered flow.
-func (h *HoseFabric) Release(f Flow) {
-	h.egress[f.Src] -= f.Mbps
-	h.ingress[f.Dst] -= f.Mbps
-	if h.egress[f.Src] <= 1e-12 {
-		delete(h.egress, f.Src)
-	}
-	if h.ingress[f.Dst] <= 1e-12 {
-		delete(h.ingress, f.Dst)
-	}
-}
-
 // Reset clears the traffic matrix.
 func (h *HoseFabric) Reset() {
 	h.ingress = make(map[int]float64)
@@ -113,27 +101,6 @@ func (h *HoseFabric) Admissible() (bool, []int) {
 	}
 	slices.Sort(out)
 	return false, out
-}
-
-// HostLoad returns the current (ingress, egress) load of a host.
-func (h *HoseFabric) HostLoad(host int) (in, out float64) {
-	return h.ingress[host], h.egress[host]
-}
-
-// MaxUtilization returns the highest per-host hose utilization.
-func (h *HoseFabric) MaxUtilization() float64 {
-	var m float64
-	for host, v := range h.ingress {
-		if u := v / h.capOf(host); u > m {
-			m = u
-		}
-	}
-	for host, v := range h.egress {
-		if u := v / h.capOf(host); u > m {
-			m = u
-		}
-	}
-	return m
 }
 
 // TrafficSplit summarizes a data center's traffic mix: the external

@@ -269,26 +269,6 @@ func (n *Network) Withdraw(vip VIPAddr, link LinkID) error {
 	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
 }
 
-// SetPadded changes the padding state of an existing advertisement; this
-// is the "advertise padded AS paths through the old routers before
-// withdrawing" transition step of the naive baseline.
-func (n *Network) SetPadded(vip VIPAddr, link LinkID, padded bool) error {
-	for i, ad := range n.ads[vip] {
-		if ad.link == link {
-			if ad.padded != padded {
-				n.ads[vip][i].padded = padded
-				n.RouteUpdates++
-				n.redistribute(vip)
-				if n.OnRouteChange != nil {
-					n.OnRouteChange(vip)
-				}
-			}
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s not on link %d", ErrNoRoute, vip, link)
-}
-
 // ActiveLinks returns the links carrying vip (unpadded advertisements),
 // sorted by LinkID.
 func (n *Network) ActiveLinks(vip VIPAddr) []LinkID {

@@ -65,10 +65,10 @@ type AffinityController struct {
 	Pairs []AffinityPair
 }
 
-// Name implements Placer.
+// Name identifies the algorithm in experiment tables.
 func (c *AffinityController) Name() string { return "affinity-controller" }
 
-// Place implements Placer: it runs the base controller, then performs an
+// Place runs the base controller, then performs an
 // affinity pass that relocates instances of paired apps onto common
 // machines when a feasible swap exists and costs no satisfied demand.
 func (c *AffinityController) Place(p *Problem) *Placement {

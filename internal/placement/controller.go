@@ -29,10 +29,10 @@ type Controller struct {
 	LastIterations int
 }
 
-// Name implements Placer.
+// Name identifies the algorithm in experiment tables.
 func (c *Controller) Name() string { return "controller" }
 
-// Place implements Placer.
+// Place solves the problem with a feasible placement.
 func (c *Controller) Place(p *Problem) *Placement {
 	instances := startFromCurrent(p)
 

@@ -38,9 +38,10 @@ func ExampleController_incremental() {
 		MachMem:   []float64{4096, 4096},
 	}
 	first := (&placement.Controller{}).Place(prob)
-	again := placement.WithCurrent(prob, first)
-	second := (&placement.Controller{}).Place(again)
-	fmt.Printf("changes on re-place: %d\n", second.Changes(again))
+	again := *prob
+	again.Current = first.Instances
+	second := (&placement.Controller{}).Place(&again)
+	fmt.Printf("changes on re-place: %d\n", second.Changes(&again))
 	// Output:
 	// changes on re-place: 0
 }

@@ -61,12 +61,3 @@ func Generate(nApps, nMachines int, cfg GenConfig, rng *rand.Rand) *Problem {
 	}
 	return p
 }
-
-// WithCurrent returns a copy of the problem seeded with the given
-// placement as the Current configuration, for incremental re-placement
-// experiments.
-func WithCurrent(p *Problem, pl *Placement) *Problem {
-	cp := *p
-	cp.Current = cloneInstances(pl.Instances)
-	return &cp
-}

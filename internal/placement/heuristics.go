@@ -11,10 +11,10 @@ import (
 // placement changes.
 type FirstFit struct{}
 
-// Name implements Placer.
+// Name identifies the algorithm in experiment tables.
 func (FirstFit) Name() string { return "first-fit" }
 
-// Place implements Placer.
+// Place solves the problem with a feasible placement.
 func (FirstFit) Place(p *Problem) *Placement {
 	return greedyPlace(p, func(_ *Problem, candidates []int, residCPU, _ []float64) int {
 		for _, m := range candidates {
@@ -30,10 +30,10 @@ func (FirstFit) Place(p *Problem) *Placement {
 // smallest that still helps (tightest fit), packing machines densely.
 type BestFit struct{}
 
-// Name implements Placer.
+// Name identifies the algorithm in experiment tables.
 func (BestFit) Name() string { return "best-fit" }
 
-// Place implements Placer.
+// Place solves the problem with a feasible placement.
 func (BestFit) Place(p *Problem) *Placement {
 	return greedyPlace(p, func(_ *Problem, candidates []int, residCPU, _ []float64) int {
 		best, bestCPU := -1, 0.0
@@ -54,10 +54,10 @@ func (BestFit) Place(p *Problem) *Placement {
 // instance-addition rule without the change-minimizing seed.
 type WorstFit struct{}
 
-// Name implements Placer.
+// Name identifies the algorithm in experiment tables.
 func (WorstFit) Name() string { return "worst-fit" }
 
-// Place implements Placer.
+// Place solves the problem with a feasible placement.
 func (WorstFit) Place(p *Problem) *Placement {
 	return greedyPlace(p, func(_ *Problem, candidates []int, residCPU, _ []float64) int {
 		best, bestCPU := -1, feaTol

@@ -56,7 +56,7 @@ func TestParallelPlaceMatchesSequential(t *testing.T) {
 		if math.Abs(seq[i].Satisfied()-par[i].Satisfied()) > 1e-9 {
 			t.Errorf("pod %d: seq %v vs par %v", i, seq[i].Satisfied(), par[i].Satisfied())
 		}
-		if seq[i].NumInstances() != par[i].NumInstances() {
+		if numInstances(seq[i]) != numInstances(par[i]) {
 			t.Errorf("pod %d instance counts differ", i)
 		}
 	}

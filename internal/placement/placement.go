@@ -111,15 +111,6 @@ func (pl *Placement) SatisfiedFraction(p *Problem) float64 {
 	return pl.Satisfied() / total
 }
 
-// NumInstances returns the total instance count of the placement.
-func (pl *Placement) NumInstances() int {
-	n := 0
-	for _, machines := range pl.Instances {
-		n += len(machines)
-	}
-	return n
-}
-
 // Changes returns the number of placement changes (instance additions +
 // removals) relative to the problem's Current configuration.
 func (pl *Placement) Changes(p *Problem) int {
@@ -151,60 +142,6 @@ func (pl *Placement) Changes(p *Problem) int {
 }
 
 const feaTol = 1e-6
-
-// CheckFeasible verifies the placement respects every constraint of the
-// problem: machine CPU and memory capacities, non-negative allocations,
-// per-app allocation not exceeding demand, and no duplicate instances.
-func CheckFeasible(p *Problem, pl *Placement) error {
-	if len(pl.Instances) != p.NumApps() || len(pl.Alloc) != p.NumApps() {
-		return fmt.Errorf("placement: solution app count mismatch")
-	}
-	cpuUse := make([]float64, p.NumMachines())
-	memUse := make([]float64, p.NumMachines())
-	for a := range pl.Instances {
-		if len(pl.Instances[a]) != len(pl.Alloc[a]) {
-			return fmt.Errorf("placement: app %d instances/alloc length mismatch", a)
-		}
-		seen := make(map[int]bool)
-		var appAlloc float64
-		for j, m := range pl.Instances[a] {
-			if m < 0 || m >= p.NumMachines() {
-				return fmt.Errorf("placement: app %d instance on bad machine %d", a, m)
-			}
-			if seen[m] {
-				return fmt.Errorf("placement: app %d has duplicate instance on machine %d", a, m)
-			}
-			seen[m] = true
-			if pl.Alloc[a][j] < -feaTol {
-				return fmt.Errorf("placement: app %d negative alloc %v", a, pl.Alloc[a][j])
-			}
-			cpuUse[m] += pl.Alloc[a][j]
-			memUse[m] += p.AppMem[a]
-			appAlloc += pl.Alloc[a][j]
-		}
-		if appAlloc > p.AppDemand[a]+feaTol*(1+p.AppDemand[a]) {
-			return fmt.Errorf("placement: app %d allocated %v > demand %v", a, appAlloc, p.AppDemand[a])
-		}
-	}
-	for m := range cpuUse {
-		if cpuUse[m] > p.MachCPU[m]+feaTol*(1+p.MachCPU[m]) {
-			return fmt.Errorf("placement: machine %d CPU %v > cap %v", m, cpuUse[m], p.MachCPU[m])
-		}
-		if memUse[m] > p.MachMem[m]+feaTol*(1+p.MachMem[m]) {
-			return fmt.Errorf("placement: machine %d mem %v > cap %v", m, memUse[m], p.MachMem[m])
-		}
-	}
-	return nil
-}
-
-// Placer is a placement algorithm.
-type Placer interface {
-	// Name identifies the algorithm in experiment tables.
-	Name() string
-	// Place solves the problem. Implementations must return a feasible
-	// placement (CheckFeasible == nil) for any valid problem.
-	Place(p *Problem) *Placement
-}
 
 // allocateCPU performs the water-filling CPU allocation phase shared by
 // all placers: given fixed instance sets, allocate each app's demand
@@ -266,13 +203,4 @@ func allocateCPU(p *Problem, instances [][]int) (alloc [][]float64, residApp []f
 		residApp[a] = need
 	}
 	return alloc, residApp, residCPU
-}
-
-// cloneInstances deep-copies an instance matrix.
-func cloneInstances(in [][]int) [][]int {
-	out := make([][]int, len(in))
-	for i, v := range in {
-		out[i] = append([]int(nil), v...)
-	}
-	return out
 }

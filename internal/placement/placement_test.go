@@ -17,8 +17,16 @@ func tinyProblem(demandA, demandB float64) *Problem {
 	}
 }
 
-func allPlacers() []Placer {
-	return []Placer{&Controller{}, FirstFit{}, BestFit{}, WorstFit{}}
+// placer is the method set every placement algorithm here shares. Place
+// must return a feasible placement (CheckFeasible == nil) for any valid
+// problem.
+type placer interface {
+	Name() string
+	Place(p *Problem) *Placement
+}
+
+func allPlacers() []placer {
+	return []placer{&Controller{}, FirstFit{}, BestFit{}, WorstFit{}}
 }
 
 func TestValidate(t *testing.T) {
@@ -103,11 +111,11 @@ func TestOverloadedProblemPartialSatisfaction(t *testing.T) {
 func TestControllerMinimizesChanges(t *testing.T) {
 	p := tinyProblem(3, 2)
 	cold := (&Controller{}).Place(p)
-	if cold.Changes(p) != cold.NumInstances() {
-		t.Errorf("cold start changes = %d, want %d", cold.Changes(p), cold.NumInstances())
+	if cold.Changes(p) != numInstances(cold) {
+		t.Errorf("cold start changes = %d, want %d", cold.Changes(p), numInstances(cold))
 	}
 	// Re-solve with the solution as Current: no changes needed.
-	p2 := WithCurrent(p, cold)
+	p2 := withCurrent(p, cold)
 	warm := (&Controller{}).Place(p2)
 	if err := CheckFeasible(p2, warm); err != nil {
 		t.Fatalf("warm infeasible: %v", err)
@@ -125,7 +133,7 @@ func TestControllerIncrementalDemandGrowth(t *testing.T) {
 	// the existing ones.
 	p := tinyProblem(3, 2)
 	sol := (&Controller{}).Place(p)
-	grown := WithCurrent(p, sol)
+	grown := withCurrent(p, sol)
 	grown.AppDemand = []float64{6, 2} // app 0 now needs both machines
 	sol2 := (&Controller{}).Place(grown)
 	if err := CheckFeasible(grown, sol2); err != nil {
@@ -135,7 +143,7 @@ func TestControllerIncrementalDemandGrowth(t *testing.T) {
 		t.Errorf("satisfied = %v, want 1", got)
 	}
 	// Changes should be only additions: every current instance kept.
-	adds := sol2.NumInstances() - sol.NumInstances()
+	adds := numInstances(sol2) - numInstances(sol)
 	if got := sol2.Changes(grown); got != adds {
 		t.Errorf("changes = %d, want %d (additions only)", got, adds)
 	}
@@ -254,7 +262,7 @@ func TestPropertyWarmResolveIsFixedPoint(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := Generate(nApps, nMach, DefaultGenConfig(), rng)
 		first := (&Controller{}).Place(p)
-		warm := WithCurrent(p, first)
+		warm := withCurrent(p, first)
 		second := (&Controller{}).Place(warm)
 		if err := CheckFeasible(warm, second); err != nil {
 			t.Logf("warm infeasible: %v", err)

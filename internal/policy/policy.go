@@ -155,15 +155,6 @@ func New(name string, seed int64) (Bundle, error) {
 	return f(seed), nil
 }
 
-// MustNew is New for callers with static names (defaults, tests).
-func MustNew(name string, seed int64) Bundle {
-	b, err := New(name, seed)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // DefaultName is the policy used when none is configured.
 const DefaultName = "greedy"
 

@@ -66,8 +66,8 @@ func TestRegistryNames(t *testing.T) {
 // two instances driven through the same sequence pick identically.
 func TestPolicyDeterminism(t *testing.T) {
 	for _, name := range Names() {
-		a := drive(MustNew(name, 42), 200)
-		b := drive(MustNew(name, 42), 200)
+		a := drive(factories[name](42), 200)
+		b := drive(factories[name](42), 200)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("%s: pick %d diverged: %d vs %d", name, i, a[i], b[i])
@@ -79,7 +79,7 @@ func TestPolicyDeterminism(t *testing.T) {
 // Every pick must be a valid candidate index.
 func TestPolicyPicksInRange(t *testing.T) {
 	for _, name := range Names() {
-		b := MustNew(name, 7)
+		b := factories[name](7)
 		for s := 0; s < 100; s++ {
 			n := 1 + s%9
 			d := synthDecision(int64(s), n)
@@ -141,7 +141,7 @@ func TestProbeAccounting(t *testing.T) {
 		{"power-of-2", 1, int64(decisions) * 5 * DefaultPowerChoices},
 	}
 	for _, c := range cases {
-		b := MustNew(c.name, 3)
+		b := factories[c.name](3)
 		drive(b, decisions)
 		if got := b.Stats.Probes; got < c.min || got > c.max {
 			t.Errorf("%s: probes = %d, want in [%d, %d]", c.name, got, c.min, c.max)

@@ -284,10 +284,8 @@ func (e *Engine) Start() error {
 	e.started = true
 	// One alias table for the whole run: app popularity is fixed after
 	// Start, and the table makes per-arrival app choice O(1) instead of
-	// an O(apps) scan (ROADMAP item 2 headroom). Pick consumes a single
-	// draw from the engine's own RNG, so platform determinism is
-	// untouched; the draw→index mapping differs from PickWeighted's, so
-	// landing this re-pinned the request-stream goldens (CHANGES.md).
+	// an O(apps) scan. Pick consumes a single draw from the engine's own
+	// RNG, so platform determinism is untouched.
 	e.sampler = workload.NewSampler(e.weights)
 	e.refresh()
 	// Every's first argument is an absolute time: offset from Now so an

@@ -14,12 +14,10 @@ type Pool[T any] struct {
 	New func(*T)
 
 	free []*T
-	live int
 }
 
 // Get pops a recycled record or allocates (and initializes) a new one.
 func (p *Pool[T]) Get() *T {
-	p.live++
 	if n := len(p.free); n > 0 {
 		v := p.free[n-1]
 		p.free[n-1] = nil
@@ -36,12 +34,5 @@ func (p *Pool[T]) Get() *T {
 // Put returns a record to the free list. The caller must drop every
 // reference it holds; the record will be handed out again by Get.
 func (p *Pool[T]) Put(v *T) {
-	p.live--
 	p.free = append(p.free, v)
 }
-
-// Live returns the number of records currently checked out.
-func (p *Pool[T]) Live() int { return p.live }
-
-// Idle returns the number of recycled records waiting for reuse.
-func (p *Pool[T]) Idle() int { return len(p.free) }

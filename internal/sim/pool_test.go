@@ -16,12 +16,12 @@ func TestPoolRecyclesRecords(t *testing.T) {
 
 	a := p.Get()
 	a.n = 7
-	if p.Live() != 1 || p.Idle() != 0 {
-		t.Fatalf("after Get: live %d idle %d", p.Live(), p.Idle())
+	if len(p.free) != 0 {
+		t.Fatalf("after Get: idle %d", len(p.free))
 	}
 	p.Put(a)
-	if p.Live() != 0 || p.Idle() != 1 {
-		t.Fatalf("after Put: live %d idle %d", p.Live(), p.Idle())
+	if len(p.free) != 1 {
+		t.Fatalf("after Put: idle %d", len(p.free))
 	}
 	b := p.Get()
 	if b != a {

@@ -24,9 +24,6 @@ type Event struct {
 	canceled bool
 }
 
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.canceled }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -102,8 +102,8 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Error("cancelled event fired")
 	}
-	if !ev.Canceled() {
-		t.Error("Canceled() = false after Cancel")
+	if !ev.canceled {
+		t.Error("event not marked canceled after Cancel")
 	}
 	// Double cancel and cancel-after-fire are no-ops.
 	e.Cancel(ev)

@@ -122,17 +122,3 @@ func SolveTwoLayer(sc ConflictScenario) (ConflictResult, error) {
 		Objective:   math.Max(vLink, vPod),
 	}, nil
 }
-
-// ConflictGap returns how much worse the one-layer objective is than the
-// two-layer objective for the scenario (≥ 0; 0 means no conflict).
-func ConflictGap(sc ConflictScenario) (float64, error) {
-	one, err := SolveOneLayer(sc)
-	if err != nil {
-		return 0, err
-	}
-	two, err := SolveTwoLayer(sc)
-	if err != nil {
-		return 0, err
-	}
-	return one.Objective - two.Objective, nil
-}

@@ -9,11 +9,15 @@ import (
 
 func TestConflictSymmetricNoGap(t *testing.T) {
 	sc := ConflictScenario{TrafficMbps: 1000, LinkCap: [2]float64{1000, 1000}, PodCap: [2]float64{1000, 1000}}
-	gap, err := ConflictGap(sc)
+	one, err := SolveOneLayer(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gap > 1e-6 {
+	two, err := SolveTwoLayer(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gap := one.Objective - two.Objective; gap > 1e-6 {
 		t.Errorf("symmetric scenario has gap %v, want 0", gap)
 	}
 }
@@ -58,8 +62,8 @@ func TestConflictValidation(t *testing.T) {
 	if _, err := SolveTwoLayer(bad); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := ConflictGap(bad); err == nil {
-		t.Error("ConflictGap accepted bad scenario")
+	if _, err := SolveOneLayer(bad); err == nil {
+		t.Error("one-layer solver accepted zero capacity")
 	}
 }
 

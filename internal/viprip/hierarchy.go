@@ -2,7 +2,6 @@ package viprip
 
 import (
 	"fmt"
-	"slices"
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
@@ -19,17 +18,15 @@ import (
 // pick a switch pod (by aggregate pressure), then the manager's
 // placement over that pod's switches only — instead of scanning every
 // switch. Scans counts switch examinations so experiments can report
-// the work saved.
+// the work saved. The switch redistribution is not modelled: the
+// round-robin partition is fixed for the hierarchy's lifetime.
 type Hierarchy struct {
 	mgr *Manager
 
-	pods  [][]lbswitch.SwitchID
-	podOf map[lbswitch.SwitchID]int
+	pods [][]lbswitch.SwitchID
 
-	// Scans counts switches examined across all allocations;
-	// Rebalances counts switch moves between switch pods.
-	Scans      int64
-	Rebalances int64
+	// Scans counts switches examined across all allocations.
+	Scans int64
 }
 
 // NewHierarchy partitions the manager's switches into nPods switch pods
@@ -43,36 +40,16 @@ func NewHierarchy(mgr *Manager, nPods int) (*Hierarchy, error) {
 	if fabric.NumSwitches() < nPods {
 		return nil, fmt.Errorf("viprip: %d pods for %d switches", nPods, fabric.NumSwitches())
 	}
-	h := &Hierarchy{
-		mgr:   mgr,
-		pods:  make([][]lbswitch.SwitchID, nPods),
-		podOf: make(map[lbswitch.SwitchID]int),
-	}
+	h := &Hierarchy{mgr: mgr, pods: make([][]lbswitch.SwitchID, nPods)}
 	for i, sw := range fabric.Switches() {
 		pod := i % nPods
 		h.pods[pod] = append(h.pods[pod], sw.ID)
-		h.podOf[sw.ID] = pod
 	}
 	return h, nil
 }
 
 // NumPods returns the number of switch pods.
 func (h *Hierarchy) NumPods() int { return len(h.pods) }
-
-// PodSizes returns the switch count of each pod.
-func (h *Hierarchy) PodSizes() []int {
-	out := make([]int, len(h.pods))
-	for i, p := range h.pods {
-		out[i] = len(p)
-	}
-	return out
-}
-
-// PodOf returns the switch pod a switch belongs to.
-func (h *Hierarchy) PodOf(sw lbswitch.SwitchID) (int, bool) {
-	p, ok := h.podOf[sw]
-	return p, ok
-}
 
 // podPressure is a switch pod's aggregate allocation pressure: the mean
 // of its switches' blend scores.
@@ -122,45 +99,8 @@ func (h *Hierarchy) podHasRoom(pod int) bool {
 	return false
 }
 
-// Rebalance performs the paper's switch redistribution: while some pod
-// has at least two more switches than another, the least-pressured
-// switch of the biggest pod moves to the smallest pod. It returns the
-// number of moves.
-func (h *Hierarchy) Rebalance() int {
-	moves := 0
-	for {
-		big, small := -1, -1
-		for pod := range h.pods {
-			if big < 0 || len(h.pods[pod]) > len(h.pods[big]) {
-				big = pod
-			}
-			if small < 0 || len(h.pods[pod]) < len(h.pods[small]) {
-				small = pod
-			}
-		}
-		if big < 0 || len(h.pods[big])-len(h.pods[small]) < 2 {
-			return moves
-		}
-		// Move the least-loaded switch (its VIPs move with it — switch
-		// pod membership is management state, not data-plane state).
-		idx := 0
-		for i, id := range h.pods[big] {
-			if h.mgr.fabric.Switch(id).Utilization() < h.mgr.fabric.Switch(h.pods[big][idx]).Utilization() {
-				idx = i
-			}
-		}
-		sw := h.pods[big][idx]
-		h.pods[big] = append(h.pods[big][:idx], h.pods[big][idx+1:]...)
-		h.pods[small] = append(h.pods[small], sw)
-		slices.Sort(h.pods[small])
-		h.podOf[sw] = small
-		h.Rebalances++
-		moves++
-	}
-}
-
 // CheckInvariants verifies the pod partition: every switch in exactly
-// one pod, the index consistent.
+// one pod.
 func (h *Hierarchy) CheckInvariants() error {
 	seen := make(map[lbswitch.SwitchID]int)
 	for pod, ids := range h.pods {
@@ -169,9 +109,6 @@ func (h *Hierarchy) CheckInvariants() error {
 				return fmt.Errorf("viprip: switch %d in pods %d and %d", id, prev, pod)
 			}
 			seen[id] = pod
-			if h.podOf[id] != pod {
-				return fmt.Errorf("viprip: switch %d podOf=%d but listed in %d", id, h.podOf[id], pod)
-			}
 		}
 	}
 	if len(seen) != h.mgr.fabric.NumSwitches() {

@@ -38,9 +38,8 @@ func TestHierarchyValidation(t *testing.T) {
 	if h.NumPods() != 2 {
 		t.Errorf("NumPods = %d", h.NumPods())
 	}
-	sizes := h.PodSizes()
-	if sizes[0] != 2 || sizes[1] != 2 {
-		t.Errorf("PodSizes = %v", sizes)
+	if len(h.pods[0]) != 2 || len(h.pods[1]) != 2 {
+		t.Errorf("pods = %v", h.pods)
 	}
 	if err := h.CheckInvariants(); err != nil {
 		t.Error(err)
@@ -106,60 +105,5 @@ func TestHierarchyExhaustion(t *testing.T) {
 	}
 	if _, _, err := h.AddVIP(1); err != ErrNoSwitch {
 		t.Errorf("err = %v, want ErrNoSwitch", err)
-	}
-}
-
-func TestHierarchyRebalance(t *testing.T) {
-	h, err := NewHierarchy(newHierManager(t, 9, Blend), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Skew the partition by hand: move everything into pod 0's list.
-	var all []lbswitch.SwitchID
-	for pod := range h.pods {
-		all = append(all, h.pods[pod]...)
-	}
-	h.pods[0] = all
-	h.pods[1] = nil
-	h.pods[2] = nil
-	for _, id := range all {
-		h.podOf[id] = 0
-	}
-	moves := h.Rebalance()
-	if moves == 0 {
-		t.Fatal("no rebalance moves")
-	}
-	sizes := h.PodSizes()
-	max, min := sizes[0], sizes[0]
-	for _, s := range sizes {
-		if s > max {
-			max = s
-		}
-		if s < min {
-			min = s
-		}
-	}
-	if max-min >= 2 {
-		t.Errorf("pods still skewed: %v", sizes)
-	}
-	if err := h.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-	if h.Rebalances != int64(moves) {
-		t.Errorf("Rebalances = %d, moves = %d", h.Rebalances, moves)
-	}
-	// A balanced partition rebalances no further.
-	if h.Rebalance() != 0 {
-		t.Error("second Rebalance moved switches")
-	}
-}
-
-func TestHierarchyPodOf(t *testing.T) {
-	h, _ := NewHierarchy(newHierManager(t, 4, Blend), 2)
-	if pod, ok := h.PodOf(0); !ok || pod != 0 {
-		t.Errorf("PodOf(0) = %d,%v", pod, ok)
-	}
-	if _, ok := h.PodOf(99); ok {
-		t.Error("PodOf(99) found")
 	}
 }

@@ -34,7 +34,6 @@ type IPPool struct {
 	// container/heap to keep Alloc/Free allocation-free.
 	freed []uint32
 	inUse ids.Bitset
-	used  int
 }
 
 // ErrPoolExhausted is returned when no addresses remain.
@@ -74,7 +73,6 @@ func (p *IPPool) Alloc() (string, error) {
 		p.next++
 	}
 	p.inUse.Set(int(off))
-	p.used++
 	return formatIPv4(p.base + off), nil
 }
 
@@ -90,7 +88,6 @@ func (p *IPPool) Free(ip string) error {
 	}
 	off := a - p.base
 	p.inUse.Clear(int(off))
-	p.used--
 	p.pushMin(off)
 	return nil
 }
@@ -170,15 +167,8 @@ func (p *IPPool) ClaimRange(start, n uint32) error {
 		p.inUse.Set(int(off))
 	}
 	p.next += n
-	p.used += int(n)
 	return nil
 }
-
-// Allocated returns the number of addresses currently in use.
-func (p *IPPool) Allocated() int { return p.used }
-
-// Capacity returns the pool size.
-func (p *IPPool) Capacity() uint32 { return p.size }
 
 // parseIPv4 parses a dotted-quad address without fmt's reflection
 // overhead; at 6M RIPs every Free goes through here.

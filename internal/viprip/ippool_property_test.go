@@ -11,7 +11,7 @@ import (
 // sequences and checks the allocator's contract at every step:
 //
 //   - an address is never handed out twice while still registered,
-//   - Allocated() tracks the live set exactly,
+//   - the in-use set tracks the live set exactly,
 //   - a full pool returns ErrPoolExhausted (never a panic or a dup),
 //   - free-then-alloc recycles the numerically lowest freed address.
 func TestIPPoolProperties(t *testing.T) {
@@ -78,8 +78,8 @@ func TestIPPoolProperties(t *testing.T) {
 			}
 			inUse[a] = true
 			handedOut = append(handedOut, ip)
-			if p.Allocated() != len(inUse) {
-				t.Logf("Allocated() = %d, model has %d", p.Allocated(), len(inUse))
+			if p.inUse.Count() != len(inUse) {
+				t.Logf("in use = %d, model has %d", p.inUse.Count(), len(inUse))
 				return false
 			}
 		}
@@ -175,8 +175,8 @@ func TestIPPoolLargeScale(t *testing.T) {
 		}
 		ips = append(ips, ip)
 	}
-	if p.Allocated() != n {
-		t.Fatalf("Allocated() = %d, want %d", p.Allocated(), n)
+	if p.inUse.Count() != n {
+		t.Fatalf("in use = %d, want %d", p.inUse.Count(), n)
 	}
 	// Free a scattered seeded subset, tracking the minimum freed.
 	rng := rand.New(rand.NewSource(11))

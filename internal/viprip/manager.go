@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
@@ -125,9 +124,9 @@ type Manager struct {
 // recorded. A nil recorder disables tracing.
 func (m *Manager) SetTracer(r *trace.Recorder) { m.tracer = r }
 
-// Request is one queued (re)configuration request. Submit requests with
-// Submit and drain with ProcessAll; Result and Err are filled when the
-// request is processed.
+// Request is one queued (re)configuration request for the serialized
+// pipeline (StartSerialized). Submit enqueues it; Result and Err are
+// filled when its service time elapses.
 type Request struct {
 	Op       Op
 	App      cluster.AppID
@@ -140,9 +139,9 @@ type Request struct {
 	Force    bool              // TransferVIP
 
 	// OnDone, when non-nil, runs after the request has been applied
-	// (with Result and Err filled). In serialized mode this is how
-	// callers continue a protocol across the asynchronous completion
-	// (e.g. the drain's retry ladder).
+	// (with Result and Err filled). This is how callers continue a
+	// protocol across the asynchronous completion (e.g. the drain's
+	// retry ladder).
 	OnDone func(*Request)
 
 	// Cause is the decision CauseID this request descends from
@@ -219,10 +218,15 @@ func (m *Manager) AllocRIP() (lbswitch.RIP, error) {
 // FreeRIP returns a RIP address to the pool.
 func (m *Manager) FreeRIP(rip lbswitch.RIP) error { return m.ripPool.Free(string(rip)) }
 
-// Submit enqueues a request for serialized processing. In serialized
-// mode (StartSerialized) the pump starts immediately if the pipeline is
-// idle; otherwise the request waits its priority turn.
+// Submit enqueues a request for serialized processing: the pump starts
+// it immediately if the pipeline is idle; otherwise the request waits
+// its priority turn. The manager must have been started with
+// StartSerialized; without the pump nothing would ever drain the queue,
+// so Submit panics.
 func (m *Manager) Submit(r *Request) {
+	if m.eng == nil {
+		panic("viprip: Submit before StartSerialized")
+	}
 	r.seq = m.seq
 	m.seq++
 	if r.Cause == 0 {
@@ -230,9 +234,7 @@ func (m *Manager) Submit(r *Request) {
 	}
 	m.queue = append(m.queue, r)
 	m.withCause(r.Cause, func() { m.traceReq(trace.EvReqSubmit, r) })
-	if m.eng != nil {
-		m.pump()
-	}
+	m.pump()
 }
 
 // withCause runs f with cause installed as the recorder's current cause
@@ -253,11 +255,11 @@ func (m *Manager) Pending() int {
 	return n
 }
 
-// StartSerialized switches the manager from batch processing
-// (ProcessAll) to the paper's serialized control plane: submitted
-// requests are popped one at a time, highest priority first (FIFO
-// within a priority), and each occupies the single CSM configuration
-// pipeline for serviceTime simulated seconds before its effect lands.
+// StartSerialized starts the paper's serialized control plane on eng:
+// submitted requests are popped one at a time, highest priority first
+// (FIFO within a priority), and each occupies the single CSM
+// configuration pipeline for serviceTime simulated seconds before its
+// effect lands.
 // Under churn the queue wait — not server capacity — is what bounds
 // elasticity; the span layer measures exactly this gap (submit →
 // process) per priority class.
@@ -375,44 +377,8 @@ func requestOrder(a, b *Request) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// ProcessAll drains the queue, highest priority first (FIFO within a
-// priority), applying each request. It returns the processed requests in
-// execution order. Requests submitted while the batch is being processed
-// (by callbacks or re-entrant manager use) land in the next batch, never
-// ahead of already-ordered work.
-func (m *Manager) ProcessAll() []*Request {
-	if m.eng != nil {
-		// Batch-draining a serialized queue would double-process the
-		// pump's in-flight work and erase every queue wait; the two
-		// modes must not be mixed.
-		panic("viprip: ProcessAll on a serialized manager (see StartSerialized)")
-	}
-	slices.SortStableFunc(m.queue, requestOrder)
-	out := m.queue
-	m.queue = nil
-	for i, r := range out {
-		if i > 0 && requestOrder(out[i-1], r) > 0 {
-			// Enforce, not just assume, the serialization contract.
-			panic(fmt.Sprintf("viprip: queue order violated: %+v before %+v", out[i-1], r))
-		}
-		m.process(r)
-	}
-	return out
-}
-
-func (m *Manager) process(r *Request) {
-	m.withCause(r.Cause, func() {
-		m.traceReq(trace.EvReqProcess, r)
-		m.apply(r)
-		if r.OnDone != nil {
-			r.OnDone(r)
-		}
-	})
-}
-
-// apply executes the request's operation and marks it done. In batch
-// mode this runs at processing time; in serialized mode it runs when
-// the pipeline finishes, serviceTime after processing began.
+// apply executes the request's operation and marks it done. It runs
+// when the pipeline finishes, serviceTime after processing began.
 func (m *Manager) apply(r *Request) {
 	switch r.Op {
 	case OpAddVIP:
@@ -443,7 +409,7 @@ func (m *Manager) apply(r *Request) {
 // traceReq records one request-lifecycle transition. The refs name the
 // app plus whichever addresses the request carries (the result VIP once
 // processing assigned one); A/B carry priority and submission seq so a
-// timeline shows why the queue ordered the batch the way it did.
+// timeline shows why the queue ordered the requests the way it did.
 func (m *Manager) traceReq(t trace.Type, r *Request) {
 	if m.tracer == nil {
 		return

@@ -118,32 +118,22 @@ func TestSerializedOnDoneResubmit(t *testing.T) {
 	}
 }
 
-func TestSerializedProcessAllPanics(t *testing.T) {
-	m, _ := newSerializedManager(t)
+// Without the pump nothing would drain the queue, so a submission to a
+// manager that never started it is a bug, not a silent no-op.
+func TestSubmitBeforeStartSerializedPanics(t *testing.T) {
+	m := newTestManager(t, 1, LeastVIPs)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("ProcessAll on a serialized manager must panic")
+			t.Fatal("Submit before StartSerialized must panic")
 		}
 	}()
-	m.ProcessAll()
+	m.Submit(&Request{Op: OpAddVIP, App: 1})
 }
 
-// The new ops work through the batch path too (used by tests and any
-// non-serialized caller).
+// The weight-adjustment and transfer ops work through the pump.
 func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
-	f := lbswitch.NewFabric()
-	for i := 0; i < 2; i++ {
-		f.AddSwitch(lbswitch.CatalystCSM())
-	}
-	vp, err := NewIPPool("100.64.0.0", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewIPPool("10.0.0.0", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewManager(f, vp, rp, LeastVIPs)
+	m, eng := newSerializedManager(t)
+	f := m.Fabric()
 	vip, home, err := m.AddVIP(7)
 	if err != nil {
 		t.Fatal(err)
@@ -151,9 +141,11 @@ func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
 	if _, _, err := m.AddRIP(7, "10.0.0.1", 2, vip); err != nil {
 		t.Fatal(err)
 	}
-	m.Submit(&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}})
-	m.Submit(&Request{Op: OpTransferVIP, App: 7, Priority: PriorityHigh, VIP: vip, Dst: 1 - home})
-	out := m.ProcessAll()
+	var out completions
+	out.submit(m,
+		&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}},
+		&Request{Op: OpTransferVIP, App: 7, Priority: PriorityHigh, VIP: vip, Dst: 1 - home})
+	eng.Run()
 	if len(out) != 2 {
 		t.Fatalf("processed %d", len(out))
 	}

@@ -9,6 +9,7 @@ import (
 
 	"megadc/internal/lbswitch"
 	"megadc/internal/policy"
+	"megadc/internal/sim"
 	"megadc/internal/trace"
 )
 
@@ -36,8 +37,8 @@ func TestIPPoolAllocFree(t *testing.T) {
 	if d != b {
 		t.Errorf("recycled = %s, want %s", d, b)
 	}
-	if p.Allocated() != 3 || p.Capacity() != 3 {
-		t.Errorf("Allocated/Capacity = %d/%d", p.Allocated(), p.Capacity())
+	if p.inUse.Count() != 3 || p.size != 3 {
+		t.Errorf("in use/size = %d/%d", p.inUse.Count(), p.size)
 	}
 }
 
@@ -109,7 +110,7 @@ func TestPropertyIPPoolUnique(t *testing.T) {
 				addrs = append(addrs[:i], addrs[i+1:]...)
 			}
 		}
-		return p.Allocated() == len(live)
+		return p.inUse.Count() == len(live)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120, Rand: rand.New(rand.NewSource(13))}); err != nil {
 		t.Error(err)
@@ -131,6 +132,30 @@ func newTestManager(t *testing.T, nSwitches int, policy Policy) *Manager {
 		t.Fatal(err)
 	}
 	return NewManager(fab, vp, rp, policy)
+}
+
+// newQueuedManager returns a serialized manager (1 s service time) whose
+// pipeline is already busy with an unrelated request (app 99), so the
+// requests a test submits next wait in the queue together and
+// requestOrder alone decides the order they complete in.
+func newQueuedManager(t *testing.T, nSwitches int) (*Manager, *sim.Engine) {
+	t.Helper()
+	m := newTestManager(t, nSwitches, LeastVIPs)
+	eng := sim.New(1)
+	m.StartSerialized(eng, 1)
+	m.Submit(&Request{Op: OpAddVIP, App: 99})
+	return m, eng
+}
+
+// completions records requests in the order the pipeline finishes them.
+type completions []*Request
+
+// submit sets each request's OnDone to record it, then submits it.
+func (c *completions) submit(m *Manager, reqs ...*Request) {
+	for _, r := range reqs {
+		r.OnDone = func(r *Request) { *c = append(*c, r) }
+		m.Submit(r)
+	}
 }
 
 func TestAddVIPLeastVIPs(t *testing.T) {
@@ -295,19 +320,18 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 }
 
 func TestQueuePriorityOrder(t *testing.T) {
-	m := newTestManager(t, 3, LeastVIPs)
+	m, eng := newQueuedManager(t, 3)
 	low := &Request{Op: OpAddVIP, App: 1, Priority: PriorityLow}
 	high := &Request{Op: OpAddVIP, App: 2, Priority: PriorityHigh}
 	norm := &Request{Op: OpAddVIP, App: 3, Priority: PriorityNormal}
-	m.Submit(low)
-	m.Submit(high)
-	m.Submit(norm)
-	if m.Pending() != 3 {
+	var done completions
+	done.submit(m, low, high, norm)
+	if m.Pending() != 4 { // three queued behind the one in service
 		t.Errorf("Pending = %d", m.Pending())
 	}
-	done := m.ProcessAll()
+	eng.Run()
 	if len(done) != 3 || done[0] != high || done[1] != norm || done[2] != low {
-		t.Errorf("execution order wrong: %v", []*Request{done[0], done[1], done[2]})
+		t.Fatalf("execution order wrong: %v", done)
 	}
 	for _, r := range done {
 		if !r.Done || r.Err != nil {
@@ -317,20 +341,23 @@ func TestQueuePriorityOrder(t *testing.T) {
 			t.Error("no VIP in result")
 		}
 	}
-	if m.Pending() != 0 || m.Processed != 3 {
+	if m.Pending() != 0 || m.Processed != 4 {
 		t.Errorf("Pending/Processed = %d/%d", m.Pending(), m.Processed)
 	}
 }
 
 func TestQueueFIFOWithinPriority(t *testing.T) {
-	m := newTestManager(t, 3, LeastVIPs)
+	m, eng := newQueuedManager(t, 3)
 	var reqs []*Request
 	for i := 0; i < 5; i++ {
-		r := &Request{Op: OpAddVIP, App: 1, Priority: PriorityNormal}
-		reqs = append(reqs, r)
-		m.Submit(r)
+		reqs = append(reqs, &Request{Op: OpAddVIP, App: 1, Priority: PriorityNormal})
 	}
-	done := m.ProcessAll()
+	var done completions
+	done.submit(m, reqs...)
+	eng.Run()
+	if len(done) != len(reqs) {
+		t.Fatalf("completed %d of %d", len(done), len(reqs))
+	}
 	for i := range reqs {
 		if done[i] != reqs[i] {
 			t.Fatalf("FIFO violated at %d", i)
@@ -339,25 +366,28 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 }
 
 func TestQueueOps(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
+	m, eng := newQueuedManager(t, 1)
 	add := &Request{Op: OpAddVIP, App: 1}
 	m.Submit(add)
-	m.ProcessAll()
+	eng.Run()
 	rip, _ := m.AllocRIP()
-	addRIP := &Request{Op: OpAddRIP, App: 1, RIP: rip, Weight: 1}
-	m.Submit(addRIP)
-	delRIP := &Request{Op: OpDelRIP, App: 1, RIP: rip}
-	m.Submit(delRIP)
-	delVIP := &Request{Op: OpDelVIP, VIP: add.Result.VIP}
-	m.Submit(delVIP)
-	for _, r := range m.ProcessAll() {
+	var done completions
+	done.submit(m,
+		&Request{Op: OpAddRIP, App: 1, RIP: rip, Weight: 1},
+		&Request{Op: OpDelRIP, App: 1, RIP: rip},
+		&Request{Op: OpDelVIP, VIP: add.Result.VIP})
+	eng.Run()
+	if len(done) != 3 {
+		t.Fatalf("completed %d of 3", len(done))
+	}
+	for _, r := range done {
 		if r.Err != nil {
 			t.Errorf("op %d err: %v", r.Op, r.Err)
 		}
 	}
 	bad := &Request{Op: Op(99)}
 	m.Submit(bad)
-	m.ProcessAll()
+	eng.Run()
 	if bad.Err == nil {
 		t.Error("unknown op accepted")
 	}
@@ -425,10 +455,9 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 // priority-descending with FIFO tie-breaking, exactly — not merely "highs
 // before lows". (sort.Slice's instability could historically reorder
 // equal-priority requests once the queue grew past the small-slice
-// threshold; requestOrder's seq tiebreak makes the order total and
-// ProcessAll enforces it.)
+// threshold; requestOrder's seq tiebreak makes the order total.)
 func TestQueueInterleavedExactOrder(t *testing.T) {
-	m := newTestManager(t, 8, LeastVIPs)
+	m, eng := newQueuedManager(t, 8)
 	prios := []Priority{
 		PriorityNormal, PriorityHigh, PriorityLow, PriorityNormal,
 		PriorityHigh, PriorityLow, PriorityNormal, PriorityHigh,
@@ -437,9 +466,10 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 	reqs := make([]*Request, len(prios))
 	for i, p := range prios {
 		reqs[i] = &Request{Op: OpAddVIP, App: 1, Priority: p}
-		m.Submit(reqs[i])
 	}
-	done := m.ProcessAll()
+	var done completions
+	done.submit(m, reqs...)
+	eng.Run()
 	// Expected: all highs in submission order, then normals, then lows.
 	var want []*Request
 	for _, p := range []Priority{PriorityHigh, PriorityNormal, PriorityLow} {
@@ -463,12 +493,12 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 // TestQueueTraceTransitions asserts a traced request leaves the
 // queue→process→done event sequence in the flight recorder.
 func TestQueueTraceTransitions(t *testing.T) {
-	m := newTestManager(t, 2, LeastVIPs)
+	m, eng := newQueuedManager(t, 2)
 	rec := trace.NewRecorder(64)
 	m.SetTracer(rec)
 	r := &Request{Op: OpAddVIP, App: 7, Priority: PriorityHigh}
 	m.Submit(r)
-	m.ProcessAll()
+	eng.Run()
 	var types []trace.Type
 	for _, ev := range rec.Events() {
 		if ev.Touches(trace.App(7)) {

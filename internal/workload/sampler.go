@@ -7,18 +7,14 @@ import (
 )
 
 // Sampler draws indices from a fixed weight vector in O(1) per draw via
-// Vose's alias method. PickWeighted is an O(n) scan per draw — fine for
-// a handful of applications, quadratic pain when a million-app request
-// stream picks an app per arrival — while a Sampler pays O(n) once at
-// construction and a single uniform draw per pick thereafter.
+// Vose's alias method: it pays O(n) once at construction and a single
+// uniform draw per pick thereafter, so a million-app request stream can
+// pick an app per arrival without an O(n) scan.
 //
 // Determinism: construction is a pure function of the weight vector
 // (the small/large worklists are filled in ascending index order and
 // popped LIFO), and Pick consumes exactly one rng.Float64() per draw,
-// so identical seeds yield byte-identical index streams. Note the
-// stream differs from PickWeighted's for the same seed — the two
-// methods map uniforms to indices differently — so switching a caller
-// re-pins any golden output derived from the draw sequence.
+// so identical seeds yield byte-identical index streams.
 type Sampler struct {
 	// prob[i] is the acceptance threshold of column i in [0,1]; alias[i]
 	// is the index that receives the rejected mass.
@@ -27,10 +23,10 @@ type Sampler struct {
 }
 
 // NewSampler builds the alias table for the (not necessarily
-// normalized) weight vector. The validation contract is PickWeighted's:
-// empty vectors, negative weights, and non-finite weights panic, naming
-// the offending index. An all-zero vector degenerates to uniform, like
-// PickWeighted's total <= 0 fallback.
+// normalized) weight vector. Empty vectors, negative weights, and
+// non-finite weights panic, naming the offending index: a single NaN
+// would otherwise poison every column's threshold and silently bias the
+// draws. An all-zero vector degenerates to uniform.
 func NewSampler(weights []float64) *Sampler {
 	if len(weights) == 0 {
 		panic("workload: NewSampler with empty weights")
@@ -95,9 +91,6 @@ func NewSampler(weights []float64) *Sampler {
 	}
 	return s
 }
-
-// N returns the number of indices the sampler draws from.
-func (s *Sampler) N() int { return len(s.prob) }
 
 // Pick draws one index, consuming exactly one rng.Float64(). The single
 // uniform supplies both the column (integer part) and the accept test

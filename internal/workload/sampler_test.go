@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -21,8 +22,8 @@ func TestSamplerDistribution(t *testing.T) {
 	if frac := float64(counts[2]) / n; math.Abs(frac-0.75) > 0.02 {
 		t.Errorf("index 2 fraction = %v", frac)
 	}
-	if s.N() != 3 {
-		t.Errorf("N = %d", s.N())
+	if len(s.prob) != 3 {
+		t.Errorf("sampler draws from %d indices, want 3", len(s.prob))
 	}
 }
 
@@ -67,20 +68,30 @@ func TestSamplerConsumesOneDraw(t *testing.T) {
 	}
 }
 
+// TestSamplerPanics pins the validation contract: bad weight vectors
+// panic, and the message names the offending index so the caller can
+// find the poisoned entry in a long vector.
 func TestSamplerPanics(t *testing.T) {
 	for _, c := range []struct {
-		name string
-		w    []float64
+		name    string
+		w       []float64
+		wantIdx string
 	}{
-		{"empty", nil},
-		{"negative", []float64{1, -1}},
-		{"nan", []float64{1, math.NaN()}},
-		{"inf", []float64{math.Inf(1), 1}},
+		{"empty", nil, "empty"},
+		{"negative", []float64{1, -1}, "index 1"},
+		{"nan", []float64{1, 2, math.NaN(), 4}, "index 2"},
+		{"inf", []float64{math.Inf(1), 1}, "index 0"},
+		{"-inf", []float64{1, 1, 1, math.Inf(-1)}, "index 3"},
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s weights did not panic", c.name)
+					return
+				}
+				if msg, ok := r.(string); !ok || !strings.Contains(msg, c.wantIdx) {
+					t.Errorf("%s: panic %q does not name %s", c.name, r, c.wantIdx)
 				}
 			}()
 			NewSampler(c.w)
@@ -156,14 +167,5 @@ func BenchmarkSamplerPick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Pick(rng)
-	}
-}
-
-func BenchmarkPickWeighted100K(b *testing.B) {
-	w := ZipfWeights(100000, 1.0)
-	rng := rand.New(rand.NewSource(1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		PickWeighted(w, rng)
 	}
 }

@@ -2,63 +2,8 @@ package workload
 
 import (
 	"math"
-	"math/rand"
-	"strings"
 	"testing"
 )
-
-// TestPickWeightedNaNPanicsWithIndex is the regression test for the
-// silent-bias bug: a single NaN weight made `total` NaN, every `x < 0`
-// comparison false, and PickWeighted deterministically returned the
-// last index — a wrong answer, not a crash. Non-finite weights must
-// now panic, and the message must name the offending index so the
-// caller can find the poisoned entry in a long weight vector.
-func TestPickWeightedNaNPanicsWithIndex(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	cases := []struct {
-		name    string
-		weights []float64
-		wantIdx string
-	}{
-		{"nan", []float64{1, 2, math.NaN(), 4}, "index 2"},
-		{"+inf", []float64{math.Inf(1), 1}, "index 0"},
-		{"-inf", []float64{1, 1, 1, math.Inf(-1)}, "index 3"},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("PickWeighted(%v) did not panic", c.weights)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, c.wantIdx) {
-					t.Fatalf("panic %q does not name the offending %s", r, c.wantIdx)
-				}
-			}()
-			PickWeighted(c.weights, rng)
-		})
-	}
-}
-
-// TestPickWeightedBiasRegression demonstrates the shape of the old bug
-// on valid input: with finite weights the last index must NOT dominate
-// — before the fix, replacing any weight with NaN collapsed every draw
-// onto the final entry.
-func TestPickWeightedBiasRegression(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	counts := make([]int, 4)
-	const n = 40000
-	for i := 0; i < n; i++ {
-		counts[PickWeighted([]float64{4, 3, 2, 1}, rng)]++
-	}
-	if frac := float64(counts[3]) / n; math.Abs(frac-0.1) > 0.02 {
-		t.Errorf("last-index fraction = %v, want ≈0.1 (NaN-style last-index bias?)", frac)
-	}
-	if frac := float64(counts[0]) / n; math.Abs(frac-0.4) > 0.02 {
-		t.Errorf("first-index fraction = %v, want ≈0.4", frac)
-	}
-}
 
 // TestFlashCrowdZeroRampFinite pins the Ramp == 0 boundary: a zero ramp
 // must degenerate to an instantaneous step with every rate finite —

@@ -265,35 +265,3 @@ func NextArrival(p Profile, t float64, rng *rand.Rand) float64 {
 func LognormalDemand(sigma float64, rng *rand.Rand) float64 {
 	return math.Exp(rng.NormFloat64() * sigma)
 }
-
-// PickWeighted returns an index drawn from the (not necessarily
-// normalized) weight vector. Non-finite weights panic, naming the
-// offending index: a single NaN would make the running total NaN, every
-// `x < 0` comparison below false, and the draw would silently collapse
-// to the last index on every call — a deterministic bias, not an error.
-func PickWeighted(weights []float64, rng *rand.Rand) int {
-	if len(weights) == 0 {
-		panic("workload: PickWeighted with empty weights")
-	}
-	var total float64
-	for i, w := range weights {
-		if w < 0 {
-			panic(fmt.Sprintf("workload: negative weight %v at index %d", w, i))
-		}
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			panic(fmt.Sprintf("workload: non-finite weight %v at index %d", w, i))
-		}
-		total += w
-	}
-	if total <= 0 {
-		return rng.Intn(len(weights))
-	}
-	x := rng.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
-}

@@ -205,51 +205,6 @@ func TestLognormalDemandMedian(t *testing.T) {
 	}
 }
 
-func TestPickWeighted(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	counts := make([]int, 3)
-	const n = 30000
-	for i := 0; i < n; i++ {
-		counts[PickWeighted([]float64{1, 0, 3}, rng)]++
-	}
-	if counts[1] != 0 {
-		t.Errorf("zero-weight index picked %d times", counts[1])
-	}
-	if frac := float64(counts[2]) / n; math.Abs(frac-0.75) > 0.02 {
-		t.Errorf("index 2 fraction = %v", frac)
-	}
-	// All-zero weights fall back to uniform.
-	c0 := 0
-	for i := 0; i < 1000; i++ {
-		if PickWeighted([]float64{0, 0}, rng) == 0 {
-			c0++
-		}
-	}
-	if c0 < 400 || c0 > 600 {
-		t.Errorf("uniform fallback skewed: %d", c0)
-	}
-}
-
-func TestPickWeightedPanics(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("empty weights did not panic")
-			}
-		}()
-		PickWeighted(nil, rng)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative weight did not panic")
-			}
-		}()
-		PickWeighted([]float64{1, -1}, rng)
-	}()
-}
-
 // Property: ZipfWeights always sums to 1 and is non-increasing.
 func TestPropertyZipf(t *testing.T) {
 	f := func(n uint16, s10 uint8) bool {

@@ -1,9 +1,12 @@
 // Command deadcode lists exported declarations under internal/ that
-// nothing in the module references: package-level functions, types,
-// variables and constants, and exported methods. Every package of the
-// module is type-checked with its tests, and so is every nested module
-// (layerbench), so a declaration used only by a test or by the
-// benchmark counts as used. A method is skipped when its type has every
+// nothing outside their own package's tests references: package-level
+// functions, types, variables and constants, and exported methods.
+// Every package of the module is type-checked with its tests, and so is
+// every nested module (layerbench). A use from a _test.go file in the
+// declaration's own directory does not count, so an API kept alive only
+// by its own unit tests is reported; uses from other packages' tests
+// (root benchmarks, oracles another package's tests call) and from
+// nested modules do count. A method is skipped when its type has every
 // method of some interface in the type-checked program that includes
 // it (String, Len/Less/Swap, the policy interfaces, ...), because
 // interface dispatch uses such methods without naming them.
@@ -45,7 +48,7 @@ type unit struct {
 // through one shared source importer.
 type checker struct {
 	fset  *token.FileSet
-	imp   types.Importer
+	imp   types.ImporterFrom
 	units []*unit
 }
 
@@ -55,22 +58,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
 	}
-	// Pure-Go builds: the source importer would otherwise need a C
-	// toolchain for the cgo halves of net and os/user.
-	build.Default.CgoEnabled = false
-	fset := token.NewFileSet()
-	c := &checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil)}
-	if err := c.module(root, root); err != nil {
+	dead, err := scan(root)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "deadcode:", err)
 		os.Exit(2)
 	}
-	dead := c.dead(root)
 	for _, d := range dead {
 		fmt.Println(d)
 	}
 	if len(dead) > 0 {
 		os.Exit(1)
 	}
+}
+
+// scan type-checks the module rooted at root and returns its findings.
+func scan(root string) ([]string, error) {
+	// Pure-Go builds: the source importer would otherwise need a C
+	// toolchain for the cgo halves of net and os/user.
+	build.Default.CgoEnabled = false
+	// The source importer resolves module imports with go list, run in
+	// this directory.
+	build.Default.Dir = root
+	fset := token.NewFileSet()
+	c := &checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+	if err := c.module(root, root); err != nil {
+		return nil, err
+	}
+	return c.dead(root), nil
 }
 
 // module type-checks every package of the module rooted at dir. Nested
@@ -132,7 +146,9 @@ func modulePath(gomod string) (string, error) {
 }
 
 // dir type-checks the package in dir (with its in-package tests) and
-// its external test package, if any.
+// its external test package, if any. As under go test, the external
+// test package sees the package with its in-package tests, so it can
+// use what they export.
 func (c *checker) dir(dir, importPath string, internal bool) error {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -157,30 +173,48 @@ func (c *checker) dir(dir, importPath string, internal bool) error {
 			pkgFiles = append(pkgFiles, f)
 		}
 	}
+	imp := c.imp
 	if len(pkgFiles) > 0 {
-		if err := c.check(importPath, pkgFiles, internal); err != nil {
+		pkg, err := c.check(importPath, pkgFiles, internal, imp)
+		if err != nil {
 			return err
 		}
+		imp = withPackage{imp, pkg}
 	}
 	if len(xtestFiles) > 0 {
-		return c.check(importPath+"_test", xtestFiles, false)
+		_, err := c.check(importPath+"_test", xtestFiles, false, imp)
+		return err
 	}
 	return nil
 }
 
-func (c *checker) check(path string, files []*ast.File, internal bool) error {
+func (c *checker) check(path string, files []*ast.File, internal bool, imp types.ImporterFrom) (*types.Package, error) {
 	info := &types.Info{
 		Defs:  map[*ast.Ident]types.Object{},
 		Uses:  map[*ast.Ident]types.Object{},
 		Types: map[ast.Expr]types.TypeAndValue{},
 	}
-	conf := types.Config{Importer: c.imp}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, c.fset, files, info)
 	if err != nil {
-		return fmt.Errorf("type-checking %s: %w", path, err)
+		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
 	c.units = append(c.units, &unit{pkg: pkg, info: info, internal: internal})
-	return nil
+	return pkg, nil
+}
+
+// withPackage resolves one import path to an already checked package
+// and every other path through the wrapped importer.
+type withPackage struct {
+	types.ImporterFrom
+	pkg *types.Package
+}
+
+func (w withPackage) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == w.pkg.Path() {
+		return w.pkg, nil
+	}
+	return w.ImporterFrom.ImportFrom(path, dir, mode)
 }
 
 // key names an object independently of which type-check produced it:
@@ -308,10 +342,16 @@ func viaInterface(fn *types.Func, ifaces [][]string) bool {
 func (c *checker) dead(root string) []string {
 	used := map[string]bool{}
 	for _, u := range c.units {
-		for _, obj := range u.info.Uses {
-			if k := key(obj); k != "" {
-				used[k] = true
+		for id, obj := range u.info.Uses {
+			k := key(obj)
+			if k == "" || used[k] {
+				continue
 			}
+			if file := c.fset.Position(id.Pos()).Filename; strings.HasSuffix(file, "_test.go") &&
+				filepath.Dir(file) == filepath.Dir(c.fset.Position(obj.Pos()).Filename) {
+				continue // a package's own tests do not keep its API alive
+			}
+			used[k] = true
 		}
 	}
 	ifaces := c.interfaces()
