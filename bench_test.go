@@ -238,7 +238,7 @@ func BenchmarkIPPoolAllocFree(b *testing.B) {
 
 func BenchmarkControllerPlace500(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	prob := placement.Generate(1250, 500, placement.DefaultGenConfig(), rng)
+	prob := placement.Generate(1250, 500, 0.7, rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctl := &placement.Controller{}

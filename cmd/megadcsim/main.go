@@ -297,7 +297,7 @@ func main() {
 	var meter *energy.Meter
 	var cons *energy.Consolidator
 	if *useEnergy {
-		meter = energy.NewMeter(p, energy.DefaultPowerModel())
+		meter = energy.NewMeter(p)
 		cons = energy.NewConsolidator(p)
 		cons.Attach(meter, 120, 60)
 	}

@@ -44,7 +44,7 @@ func run(consolidate bool) (wh, minSat float64, maxOff int) {
 	p.DriveDemand(app.ID, workload.Diurnal{Base: 1, Amplitude: 0.8, Period: 43200},
 		core.Demand{CPU: 30, Mbps: 300}, 300, 86400)
 	p.Start()
-	meter := energy.NewMeter(p, energy.DefaultPowerModel())
+	meter := energy.NewMeter(p)
 	minSat = 1.0
 	var cons *energy.Consolidator
 	if consolidate {

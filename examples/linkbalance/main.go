@@ -19,7 +19,7 @@ func main() {
 
 	fmt.Println("scenario: one app's sessions overload the hot access link (~120% at warmup);")
 	fmt.Printf("intervention at t=%.0fs; relief when hot-link utilization < %.0f%%\n\n",
-		cfg.WarmupSec, cfg.TargetUtil*100)
+		cfg.WarmupSec, baseline.TETargetUtil*100)
 
 	sel := baseline.RunSelectiveExposureTE(cfg)
 	naive := baseline.RunNaiveReadvertTE(cfg)

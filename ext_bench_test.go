@@ -37,7 +37,7 @@ func BenchmarkX1EnergyConsolidation(b *testing.B) {
 		p.DriveDemand(app.ID, workload.Diurnal{Base: 1, Amplitude: 0.8, Period: 43200},
 			core.Demand{CPU: 30, Mbps: 300}, 300, 86400)
 		p.Start()
-		meter := energy.NewMeter(p, energy.DefaultPowerModel())
+		meter := energy.NewMeter(p)
 		if consolidate {
 			energy.NewConsolidator(p).Attach(meter, 120, 60)
 		} else {
@@ -115,9 +115,7 @@ func BenchmarkX3SessionThroughput(b *testing.B) {
 // solve cost.
 func BenchmarkX5AffinityPlacement(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := placement.DefaultGenConfig()
-	cfg.LoadFactor = 0.5
-	prob := placement.Generate(200, 80, cfg, rng)
+	prob := placement.Generate(200, 80, 0.5, rng)
 	var pairs []placement.AffinityPair
 	for a := 0; a+1 < 200; a += 2 {
 		pairs = append(pairs, placement.AffinityPair{A: a, B: a + 1})

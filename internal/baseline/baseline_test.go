@@ -57,8 +57,8 @@ func TestTEWarmupOverloads(t *testing.T) {
 			utilAtWarmup = pt.V
 		}
 	}
-	if utilAtWarmup < cfg.TargetUtil {
-		t.Errorf("hot util at warmup = %v; below target %v", utilAtWarmup, cfg.TargetUtil)
+	if utilAtWarmup < TETargetUtil {
+		t.Errorf("hot util at warmup = %v; below target %v", utilAtWarmup, TETargetUtil)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestMultiplexingValidation(t *testing.T) {
 	if _, err := RunMultiplexing(cfg, []int{0}); err == nil {
 		t.Error("zero partitions accepted")
 	}
-	if _, err := RunMultiplexing(cfg, []int{cfg.Servers + 1}); err == nil {
+	if _, err := RunMultiplexing(cfg, []int{muxServers + 1}); err == nil {
 		t.Error("more partitions than servers accepted")
 	}
 	bad := cfg

@@ -13,30 +13,28 @@ import (
 // shared mega data center or in P isolated partitions (the
 // compartmentalization the paper's shared-switch architecture avoids).
 type MuxConfig struct {
-	Apps          int
-	Servers       int     // total servers, split evenly across partitions
-	ServerCPU     float64 // cores per server
-	MeanDemandCPU float64 // mean demand per app (cores)
-	Sigma         float64 // lognormal demand sigma (heavy tail)
-	ZipfS         float64 // popularity skew across apps
-	Trials        int     // Monte-Carlo epochs
-	Seed          int64
+	Apps   int
+	Trials int // Monte-Carlo epochs
+	Seed   int64
 }
 
-// DefaultMuxConfig returns the E9 configuration: 300 apps on 120 servers
-// (scaled 1000× down from the paper's 300K apps / 300K servers at the
-// same apps-per-server ratio is impractical because the paper has 1:1;
-// we keep mean total demand ≈ 60% of capacity).
+// The fixed E9 fleet and demand model.
+const (
+	muxServers               = 300 // total servers, split evenly across partitions
+	muxServerCPU     float64 = 8   // cores per server
+	muxMeanDemandCPU float64 = 4.8 // mean demand per app (cores): 300 × 4.8 = 1440 of 2400 cores ⇒ 60% mean load
+	muxSigma         float64 = 1.0 // lognormal demand sigma (heavy tail)
+	muxZipfS         float64 = 0.8 // popularity skew across apps
+)
+
+// DefaultMuxConfig returns the E9 configuration: 300 apps on 300 servers
+// (scaled 1000× down from the paper's 300K apps / 300K servers, keeping
+// its 1:1 ratio; mean total demand ≈ 60% of capacity).
 func DefaultMuxConfig() MuxConfig {
 	return MuxConfig{
-		Apps:          300,
-		Servers:       300,
-		ServerCPU:     8,
-		MeanDemandCPU: 4.8, // 300 × 4.8 = 1440 of 2400 cores ⇒ 60% mean load
-		Sigma:         1.0,
-		ZipfS:         0.8,
-		Trials:        2000,
-		Seed:          7,
+		Apps:   300,
+		Trials: 2000,
+		Seed:   7,
 	}
 }
 
@@ -56,31 +54,31 @@ type MuxResult struct {
 // unpredictable Internet-application demand the paper's elasticity
 // targets.
 func RunMultiplexing(cfg MuxConfig, partitionCounts []int) ([]MuxResult, error) {
-	if cfg.Apps <= 0 || cfg.Servers <= 0 || cfg.Trials <= 0 {
+	if cfg.Apps <= 0 || cfg.Trials <= 0 {
 		return nil, fmt.Errorf("baseline: bad mux config %+v", cfg)
 	}
-	weights := workload.ZipfWeights(cfg.Apps, cfg.ZipfS)
+	weights := workload.ZipfWeights(cfg.Apps, muxZipfS)
 	// Per-app mean demand: popularity-scaled, normalized so the total
 	// mean is Apps × MeanDemandCPU.
 	means := make([]float64, cfg.Apps)
-	total := cfg.MeanDemandCPU * float64(cfg.Apps)
+	total := muxMeanDemandCPU * float64(cfg.Apps)
 	for i, w := range weights {
 		means[i] = total * w
 	}
 	// The unit-median lognormal has mean exp(sigma²/2); divide it out so
 	// each app's mean demand is exactly means[i].
-	meanCorrection := math.Exp(-cfg.Sigma * cfg.Sigma / 2)
+	meanCorrection := math.Exp(-muxSigma * muxSigma / 2)
 
 	var out []MuxResult
 	for _, parts := range partitionCounts {
-		if parts <= 0 || parts > cfg.Servers {
+		if parts <= 0 || parts > muxServers {
 			return nil, fmt.Errorf("baseline: partition count %d out of range", parts)
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		// Partition capacities: split servers as evenly as possible.
 		capPerPart := make([]float64, parts)
-		for s := 0; s < cfg.Servers; s++ {
-			capPerPart[s%parts] += cfg.ServerCPU
+		for s := 0; s < muxServers; s++ {
+			capPerPart[s%parts] += muxServerCPU
 		}
 		// Static app assignment: round-robin by rank.
 		appPart := make([]int, cfg.Apps)
@@ -97,7 +95,7 @@ func RunMultiplexing(cfg MuxConfig, partitionCounts []int) ([]MuxResult, error) 
 			}
 			var totDemand float64
 			for a := 0; a < cfg.Apps; a++ {
-				d := means[a] * workload.LognormalDemand(cfg.Sigma, rng) * meanCorrection
+				d := means[a] * workload.LognormalDemand(muxSigma, rng) * meanCorrection
 				demand[appPart[a]] += d
 				totDemand += d
 			}
@@ -115,7 +113,7 @@ func RunMultiplexing(cfg MuxConfig, partitionCounts []int) ([]MuxResult, error) 
 			if over {
 				overloads++
 			}
-			sumUtil += totDemand / (cfg.ServerCPU * float64(cfg.Servers))
+			sumUtil += totDemand / (muxServerCPU * float64(muxServers))
 			if totDemand > 0 {
 				sumLost += lost / totDemand
 			}

@@ -186,7 +186,7 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 	// attempt fires — the detect path drops the VIP from the fabric
 	// outright, exactly what DetectSwitch does when no healthy switch
 	// can take it.
-	p.Eng.After(p.Cfg.DNSUpdateLatency+1, func() {
+	p.Eng.After(DNSUpdateLatency+1, func() {
 		if err := p.Fabric.DropVIP(vip, true); err != nil {
 			t.Errorf("drop: %v", err)
 		}
@@ -195,7 +195,7 @@ func TestDrainDropMidwayKeepsVIPUnexposed(t *testing.T) {
 		}
 		p.Propagate()
 	})
-	p.Eng.RunFor(p.Cfg.DNSUpdateLatency + p.DNS.TTL() + 4*p.Cfg.DrainMargin + 10)
+	p.Eng.RunFor(DNSUpdateLatency + p.DNS.TTL() + 4*drainMargin + 10)
 
 	if _, homed := p.Fabric.HomeOf(vip); homed {
 		t.Fatal("setup: vip should still be unhomed")

@@ -36,7 +36,7 @@ func TestCostAwareExposureReducesCost(t *testing.T) {
 	before := p.Net.TotalCost()
 	for i := 0; i < 20; i++ {
 		p.Global.Step()
-		p.Eng.RunFor(cfg.DNSUpdateLatency + 1)
+		p.Eng.RunFor(DNSUpdateLatency + 1)
 	}
 	after := p.Net.TotalCost()
 	if after >= before {
@@ -44,7 +44,7 @@ func TestCostAwareExposureReducesCost(t *testing.T) {
 	}
 	// No link pushed past the ceiling.
 	for _, l := range p.Net.Links() {
-		if l.Utilization() > cfg.CostShiftCeiling+0.05 {
+		if l.Utilization() > costShiftCeiling+0.05 {
 			t.Errorf("link %d above ceiling: %v", l.ID, l.Utilization())
 		}
 	}
@@ -66,12 +66,12 @@ func TestCostAwareYieldsToOverload(t *testing.T) {
 	vips := p.DNS.VIPs(app.ID)
 	p.DNS.ExposeOnly(app.ID, vips[0])
 	p.Propagate()
-	if len(p.Net.OverloadedLinks(cfg.LinkOverloadUtil)) == 0 {
+	if len(p.Net.OverloadedLinks(linkOverloadUtil)) == 0 {
 		t.Fatal("setup: no overloaded link")
 	}
 	for i := 0; i < 10; i++ {
 		p.Global.Step()
-		p.Eng.RunFor(cfg.DNSUpdateLatency + 1)
+		p.Eng.RunFor(DNSUpdateLatency + 1)
 	}
 	if got := len(p.Net.OverloadedLinks(1.0)); got != 0 {
 		t.Errorf("%d links still above 100%%", got)

@@ -48,7 +48,7 @@ func TestKnobCVacatesLoadedDonorServer(t *testing.T) {
 
 	nDonorVMs := p.Cluster.PodNumVMs(pods[1])
 	p.Global.Step()
-	p.Eng.RunFor(cfg.VacateLatencyPerVM*4 + cfg.VMMigrateLatency + 10)
+	p.Eng.RunFor(vacateLatencyPerVM*4 + vmMigrateLatency + 10)
 	if p.Global.ServerTransfers != 1 {
 		t.Fatalf("transfers = %d", p.Global.ServerTransfers)
 	}

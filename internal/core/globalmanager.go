@@ -127,11 +127,10 @@ func (g *GlobalManager) Step() {
 // applications' VIPs on cold links. Routing is untouched — zero route
 // updates — and relief begins as soon as the DNS change propagates.
 func (g *GlobalManager) balanceAccessLinks() {
-	cfg := &g.p.Cfg
-	for _, linkID := range g.p.Net.OverloadedLinks(cfg.LinkOverloadUtil) {
+	for _, linkID := range g.p.Net.OverloadedLinks(linkOverloadUtil) {
 		link := g.p.Net.Link(linkID)
 		// How much traffic must leave the link to reach the target?
-		excess := link.LoadMbps() - cfg.LinkOverloadUtil*link.CapacityMbps
+		excess := link.LoadMbps() - linkOverloadUtil*link.CapacityMbps
 		if excess <= 0 {
 			continue
 		}
@@ -176,7 +175,6 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 	if err != nil {
 		return 0
 	}
-	cfg := &g.p.Cfg
 	var hotIdx = -1
 	var coldIdx []int
 	for i, v := range dnsVIPs {
@@ -187,7 +185,7 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 		cold := true
 		for _, l := range g.p.Net.ActiveLinks(v) {
 			lk := g.p.Net.Link(l)
-			if !lk.Serving() || lk.Utilization() > cfg.LinkOverloadUtil {
+			if !lk.Serving() || lk.Utilization() > linkOverloadUtil {
 				cold = false
 				break
 			}
@@ -207,7 +205,7 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 	traffic := g.p.Net.VIPTraffic(vipStr)
 	cid := g.p.decide(KnobSelectiveExposure, viprip.PriorityNormal,
 		trace.VIP(vip), trace.App(app), trace.Link(hot))
-	g.p.Eng.After(cfg.DNSUpdateLatency, func() {
+	g.p.Eng.After(DNSUpdateLatency, func() {
 		g.p.withCause(cid, func() {
 			// The weight set travels as one message; the generation captured
 			// at send time makes a reordered retry that arrives after some
@@ -237,11 +235,10 @@ func (g *GlobalManager) shiftExposureOffLink(vipStr string, hot netmodel.LinkID)
 // costAwareExposure is the business-objective half of knob A: when no
 // link is overloaded, shift DNS exposure from VIPs on expensive links
 // toward the same applications' VIPs on cheaper links, without pushing
-// any cheap link above CostShiftCeiling. One shift per step keeps the
+// any cheap link above costShiftCeiling. One shift per step keeps the
 // adjustment gentle.
 func (g *GlobalManager) costAwareExposure() {
-	cfg := &g.p.Cfg
-	if len(g.p.Net.OverloadedLinks(cfg.LinkOverloadUtil)) > 0 {
+	if len(g.p.Net.OverloadedLinks(linkOverloadUtil)) > 0 {
 		return // balance first, economize later
 	}
 	// Most expensive loaded link first.
@@ -279,7 +276,7 @@ func (g *GlobalManager) costAwareExposure() {
 			}
 			for _, l := range g.p.Net.ActiveLinks(v) {
 				link := g.p.Net.Link(l)
-				if link.Serving() && link.CostPerMbps < hot.CostPerMbps && link.Utilization() < cfg.CostShiftCeiling {
+				if link.Serving() && link.CostPerMbps < hot.CostPerMbps && link.Utilization() < costShiftCeiling {
 					cheapIdx = i
 				}
 			}
@@ -290,7 +287,7 @@ func (g *GlobalManager) costAwareExposure() {
 		delta := weights[hotIdx] / 2
 		cid := g.p.decide(KnobSelectiveExposure, viprip.PriorityLow,
 			trace.VIP(vip), trace.App(app), trace.Link(hot.ID))
-		g.p.Eng.After(cfg.DNSUpdateLatency, func() {
+		g.p.Eng.After(DNSUpdateLatency, func() {
 			g.p.withCause(cid, func() {
 				gen := g.p.DNS.Gen(app)
 				g.p.ctrl.Call(ctrlplane.Global, ctrlplane.DNS, "cost-shift", func() {
@@ -382,12 +379,11 @@ func (g *GlobalManager) recycleUnusedVIPs() {
 // the internal transfer happens once ongoing sessions have paused — no
 // access-router involvement.
 func (g *GlobalManager) balanceSwitches() {
-	cfg := &g.p.Cfg
 	for _, sw := range g.p.Fabric.Switches() {
-		if !sw.Serving() || sw.Utilization() <= cfg.SwitchOverloadUtil {
+		if !sw.Serving() || sw.Utilization() <= switchOverloadUtil {
 			continue
 		}
-		excess := sw.ThroughputMbps() - cfg.SwitchOverloadUtil*sw.Limits.ThroughputMbps
+		excess := sw.ThroughputMbps() - switchOverloadUtil*sw.Limits.ThroughputMbps
 		for _, vip := range sw.SortVIPsByLoad() {
 			if excess <= 0 {
 				break
@@ -414,7 +410,6 @@ func (g *GlobalManager) pickTransferTarget(from *lbswitch.Switch, vip lbswitch.V
 	if err != nil {
 		return nil
 	}
-	cfg := &g.p.Cfg
 	g.swCand = g.swCand[:0]
 	for _, sw := range g.p.Fabric.Switches() {
 		if sw.ID == from.ID || !sw.Serving() {
@@ -424,7 +419,7 @@ func (g *GlobalManager) pickTransferTarget(from *lbswitch.Switch, vip lbswitch.V
 			continue
 		}
 		if sw.Limits.ThroughputMbps > 0 &&
-			(sw.ThroughputMbps()+load)/sw.Limits.ThroughputMbps > cfg.SwitchOverloadUtil {
+			(sw.ThroughputMbps()+load)/sw.Limits.ThroughputMbps > switchOverloadUtil {
 			continue
 		}
 		g.swCand = append(g.swCand, sw)
@@ -473,7 +468,6 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	token := g.drainSeq
 	g.draining[vip] = token
 	g.p.Suppress(vip, true)
-	cfg := &g.p.Cfg
 	vips, ws, err := g.p.DNS.Weights(app)
 	if err != nil {
 		delete(g.draining, vip)
@@ -561,9 +555,9 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 				g.p.Cfg.Causal.AddBroken(cid, broken)
 				finish()
 			case errors.Is(err, lbswitch.ErrActiveConns) && retriesLeft > 0:
-				g.p.Cfg.Trace.Record(trace.EvDrainRetry, float64(retriesLeft), cfg.DrainMargin,
+				g.p.Cfg.Trace.Record(trace.EvDrainRetry, float64(retriesLeft), drainMargin,
 					trace.VIP(vip), trace.SwitchRef(dst))
-				g.p.Eng.After(cfg.DrainMargin, func() {
+				g.p.Eng.After(drainMargin, func() {
 					g.p.withCause(cid, func() { attemptFn(retriesLeft - 1) })
 				})
 			default:
@@ -594,7 +588,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 	var attemptRec func(int)
 	attemptRec = func(n int) { attempt(n, attemptRec) }
 
-	g.p.Eng.After(cfg.DNSUpdateLatency, func() {
+	g.p.Eng.After(DNSUpdateLatency, func() {
 		g.p.withCause(cid, func() {
 			g.p.ctrl.CallWithDeadLetter(ctrlplane.Global, ctrlplane.DNS, "drain-hide", func() {
 				if !mine() {
@@ -605,10 +599,10 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 					g.p.Suppress(vip, false)
 					return
 				}
-				g.p.Cfg.Trace.Record(trace.EvDrainStart, restoreWeight, g.p.DNS.TTL()+cfg.DrainMargin,
+				g.p.Cfg.Trace.Record(trace.EvDrainStart, restoreWeight, g.p.DNS.TTL()+drainMargin,
 					trace.VIP(vip), trace.SwitchRef(home), trace.SwitchRef(dst))
 				g.p.Propagate()
-				g.p.Eng.After(g.p.DNS.TTL()+cfg.DrainMargin, func() {
+				g.p.Eng.After(g.p.DNS.TTL()+drainMargin, func() {
 					g.p.withCause(cid, func() { attemptRec(2) })
 				})
 			}, func() {
@@ -628,7 +622,6 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 // changes). This is the fastest inter-pod knob — just a switch
 // reconfiguration.
 func (g *GlobalManager) interPodWeights() {
-	cfg := &g.p.Cfg
 	podUtil := make(map[cluster.PodID]float64)
 	for _, id := range g.p.podOrder {
 		podUtil[id] = g.podUtil(id)
@@ -657,10 +650,10 @@ func (g *GlobalManager) interPodWeights() {
 				if podOf[i] == cluster.NoPod {
 					continue
 				}
-				if podUtil[podOf[i]] > cfg.PodOverloadUtil {
+				if podUtil[podOf[i]] > PodOverloadUtil {
 					hasHot = true
 				}
-				if podUtil[podOf[i]] < cfg.PodUnderloadUtil {
+				if podUtil[podOf[i]] < podUnderloadUtil {
 					hasCold = true
 				}
 			}
@@ -674,11 +667,11 @@ func (g *GlobalManager) interPodWeights() {
 				if podOf[i] == cluster.NoPod {
 					continue
 				}
-				if podUtil[podOf[i]] > cfg.PodOverloadUtil {
+				if podUtil[podOf[i]] > PodOverloadUtil {
 					d := weights[i] * 0.25
 					newWeights[i] -= d
 					moved += d
-				} else if podUtil[podOf[i]] < cfg.PodUnderloadUtil {
+				} else if podUtil[podOf[i]] < podUnderloadUtil {
 					coldIdx = append(coldIdx, i)
 				}
 			}
@@ -723,7 +716,7 @@ func (g *GlobalManager) interPodWeights() {
 				})
 				continue
 			}
-			g.p.Eng.After(cfg.SwitchReconfigLatency, func() {
+			g.p.Eng.After(switchReconfigLatency, func() {
 				g.p.withCause(cid, func() {
 					g.p.ctrl.Call(ctrlplane.Global, ctrlplane.CSM, "inter-pod-weights", func() {
 						if err := g.p.VIPRIP.AdjustWeights(vip, nw); err == nil {
@@ -743,9 +736,8 @@ func (g *GlobalManager) interPodWeights() {
 // VM provisioning takes minutes — so at most one deployment per hot pod
 // per step keeps the "number of application deployments ... minimized".
 func (g *GlobalManager) deployToRelievePods() {
-	cfg := &g.p.Cfg
 	for _, podID := range g.p.podOrder {
-		if g.podUtil(podID) <= cfg.PodOverloadUtil {
+		if g.podUtil(podID) <= PodOverloadUtil {
 			continue
 		}
 		app, ok := g.hottestApp(podID)
@@ -760,7 +752,7 @@ func (g *GlobalManager) deployToRelievePods() {
 		g.pendingDeploy[app] = true
 		cid := g.p.decide(KnobAppDeployment, viprip.PriorityNormal,
 			trace.App(app), trace.Pod(target), trace.VIP(vip))
-		g.p.Eng.After(cfg.VMDeployLatency, func() {
+		g.p.Eng.After(vmDeployLatency, func() {
 			delete(g.pendingDeploy, app)
 			g.p.withCause(cid, func() {
 				g.p.ctrl.Call(ctrlplane.Global, ctrlplane.Pod(int(target)), "deploy", func() {
@@ -795,7 +787,7 @@ func (g *GlobalManager) removeIdleInstances() {
 				vmID := vmID
 				cid := g.p.decide(KnobAppDeployment, viprip.PriorityLow,
 					trace.App(app), trace.VM(vmID))
-				g.p.Eng.After(g.p.Cfg.SwitchReconfigLatency, func() {
+				g.p.Eng.After(switchReconfigLatency, func() {
 					g.p.withCause(cid, func() {
 						g.p.ctrl.Call(ctrlplane.Global, ctrlplane.CSM, "remove-instance", func() {
 							if g.p.Cluster.VM(vmID) == nil {
@@ -820,9 +812,8 @@ func (g *GlobalManager) removeIdleInstances() {
 // pod (migrating its VMs to the donor's other servers) and hands it to
 // the overloaded pod.
 func (g *GlobalManager) transferServersToRelievePods() {
-	cfg := &g.p.Cfg
 	for _, podID := range g.p.podOrder {
-		if g.podUtil(podID) <= cfg.PodOverloadUtil {
+		if g.podUtil(podID) <= PodOverloadUtil {
 			continue
 		}
 		donor, ok := g.pickDonorPod(podID)
@@ -840,13 +831,12 @@ func (g *GlobalManager) transferServersToRelievePods() {
 // pickDonorPod selects a pod below the underload threshold (other
 // than the recipient) to donate a server, via the steering policy.
 func (g *GlobalManager) pickDonorPod(recipient cluster.PodID) (cluster.PodID, bool) {
-	cfg := &g.p.Cfg
 	g.podCand, g.podLoad = g.podCand[:0], g.podLoad[:0]
 	for _, id := range g.p.podOrder {
 		if id == recipient {
 			continue
 		}
-		if u := g.podUtil(id); u < cfg.PodUnderloadUtil {
+		if u := g.podUtil(id); u < podUnderloadUtil {
 			g.podCand = append(g.podCand, id)
 			g.podLoad = append(g.podLoad, u)
 		}
@@ -889,7 +879,7 @@ func (g *GlobalManager) vacateAndTransfer(srv cluster.ServerID, donor, recipient
 	g.pendingServer[srv] = true
 	server := g.p.Cluster.Server(srv)
 	nVMs := server.NumVMs()
-	latency := g.p.Cfg.VacateLatencyPerVM*float64(nVMs) + g.p.Cfg.VMMigrateLatency
+	latency := vacateLatencyPerVM*float64(nVMs) + vmMigrateLatency
 	cid := g.p.decide(KnobServerTransfer, viprip.PriorityNormal,
 		trace.Server(srv), trace.Pod(donor), trace.Pod(recipient))
 	g.p.Eng.After(latency, func() {
@@ -1067,7 +1057,6 @@ func (g *GlobalManager) hottestApp(pod cluster.PodID) (cluster.AppID, bool) {
 // The underload threshold and the room check are feasibility, not
 // preference, so they stay here for every policy.
 func (g *GlobalManager) coldestPodWithRoom(actor uint64, exclude cluster.PodID, slice cluster.Resources) (cluster.PodID, bool) {
-	cfg := &g.p.Cfg
 	g.podCand, g.podLoad = g.podCand[:0], g.podLoad[:0]
 	for _, id := range g.p.podOrder {
 		if id == exclude {
@@ -1076,7 +1065,7 @@ func (g *GlobalManager) coldestPodWithRoom(actor uint64, exclude cluster.PodID, 
 		if g.p.emptiestServer(id, slice) == nil {
 			continue
 		}
-		if u := g.podUtil(id); u < cfg.PodUnderloadUtil {
+		if u := g.podUtil(id); u < podUnderloadUtil {
 			g.podCand = append(g.podCand, id)
 			g.podLoad = append(g.podLoad, u)
 		}

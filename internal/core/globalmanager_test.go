@@ -29,7 +29,7 @@ func TestKnobASelectiveExposureRelievesLink(t *testing.T) {
 	}
 	p.Propagate()
 	routeUpdatesBefore := p.Net.RouteUpdates
-	hotLinks := p.Net.OverloadedLinks(cfg.LinkOverloadUtil)
+	hotLinks := p.Net.OverloadedLinks(linkOverloadUtil)
 	if len(hotLinks) != 1 {
 		t.Fatalf("setup: overloaded links = %v", hotLinks)
 	}
@@ -39,10 +39,10 @@ func TestKnobASelectiveExposureRelievesLink(t *testing.T) {
 	// A few control iterations, letting scheduled DNS changes land.
 	for i := 0; i < 5; i++ {
 		g.Step()
-		p.Eng.RunFor(cfg.DNSUpdateLatency + 1)
+		p.Eng.RunFor(DNSUpdateLatency + 1)
 	}
-	if got := p.Net.Link(hot).Utilization(); got > cfg.LinkOverloadUtil {
-		t.Errorf("hot link utilization = %v, still above %v", got, cfg.LinkOverloadUtil)
+	if got := p.Net.Link(hot).Utilization(); got > linkOverloadUtil {
+		t.Errorf("hot link utilization = %v, still above %v", got, linkOverloadUtil)
 	}
 	if g.ExposureChanges == 0 {
 		t.Error("no exposure changes recorded")
@@ -90,7 +90,7 @@ func TestKnobBVIPTransferRelievesSwitch(t *testing.T) {
 	}
 	p.Propagate()
 	// Switch 0 carries 400 of 400 Mbps → overloaded.
-	if u := p.Fabric.Switch(0).Utilization(); u <= cfg.SwitchOverloadUtil {
+	if u := p.Fabric.Switch(0).Utilization(); u <= switchOverloadUtil {
 		t.Fatalf("setup: switch utilization %v not overloaded", u)
 	}
 	routeUpdates := p.Net.RouteUpdates
@@ -98,12 +98,12 @@ func TestKnobBVIPTransferRelievesSwitch(t *testing.T) {
 	g := p.Global
 	g.Step()
 	// Drain takes DNS update + TTL + margin; run well past it.
-	p.Eng.RunFor(p.DNS.TTL() + 5*cfg.DrainMargin + 10)
+	p.Eng.RunFor(p.DNS.TTL() + 5*drainMargin + 10)
 
 	if g.VIPTransfers == 0 {
 		t.Fatal("no VIP transfer happened")
 	}
-	if u := p.Fabric.Switch(0).Utilization(); u > cfg.SwitchOverloadUtil {
+	if u := p.Fabric.Switch(0).Utilization(); u > switchOverloadUtil {
 		t.Errorf("switch 0 still overloaded: %v", u)
 	}
 	// Every VIP is exposed again after its transfer completes.
@@ -147,12 +147,12 @@ func TestKnobCServerTransfer(t *testing.T) {
 	}
 	// Pod 0 capacity = 4×8 = 32 CPU; demand 30 → util 0.94 > 0.85.
 	p.SetAppDemand(app.ID, Demand{CPU: 30, Mbps: 100})
-	if u := p.Pod(pod0).Utilization(); u <= cfg.PodOverloadUtil {
+	if u := p.Pod(pod0).Utilization(); u <= PodOverloadUtil {
 		t.Fatalf("setup: pod util %v", u)
 	}
 	g := p.Global
 	g.Step()
-	p.Eng.RunFor(cfg.VacateLatencyPerVM*4 + cfg.VMMigrateLatency + 10)
+	p.Eng.RunFor(vacateLatencyPerVM*4 + vmMigrateLatency + 10)
 	if g.ServerTransfers == 0 {
 		t.Fatal("no server transferred")
 	}
@@ -193,7 +193,7 @@ func TestKnobDDeployment(t *testing.T) {
 	}
 	g := p.Global
 	g.Step()
-	p.Eng.RunFor(cfg.VMDeployLatency + 10)
+	p.Eng.RunFor(vmDeployLatency + 10)
 	if g.Deployments == 0 {
 		t.Fatal("no deployment happened")
 	}
@@ -240,7 +240,7 @@ func TestKnobFInterPodWeights(t *testing.T) {
 
 	g := p.Global
 	g.Step()
-	p.Eng.RunFor(cfg.SwitchReconfigLatency + 1)
+	p.Eng.RunFor(switchReconfigLatency + 1)
 
 	rips, after, _ := sw.Weights(vip)
 	totalAfter := after[0] + after[1]
@@ -353,7 +353,7 @@ func TestRemoveIdleInstances(t *testing.T) {
 	p.Propagate()
 	for i := 0; i < 8; i++ {
 		p.Global.Step()
-		p.Eng.RunFor(cfg.SwitchReconfigLatency + 1)
+		p.Eng.RunFor(switchReconfigLatency + 1)
 	}
 	if got := app.NumInstances(); got >= 6 {
 		t.Errorf("instances = %d; idle instances not pruned", got)
@@ -435,14 +435,14 @@ func TestDrainBlockedByConnectionsForces(t *testing.T) {
 		}
 	}
 	p.Global.Step()
-	p.Eng.RunFor(p.DNS.TTL() + 10*cfg.DrainMargin + 20)
+	p.Eng.RunFor(p.DNS.TTL() + 10*drainMargin + 20)
 	if p.Global.VIPTransfers == 0 {
 		t.Fatal("no forced transfer happened")
 	}
 	if p.Global.DrainForceBreaks == 0 {
 		t.Error("no force-broken connections recorded")
 	}
-	if u := p.Fabric.Switch(0).Utilization(); u > cfg.SwitchOverloadUtil {
+	if u := p.Fabric.Switch(0).Utilization(); u > switchOverloadUtil {
 		t.Errorf("switch 0 still overloaded: %v", u)
 	}
 }

@@ -362,7 +362,7 @@ func NewPlatformOn(eng *sim.Engine, topo Topology, cfg Config) (*Platform, error
 	// Serialized control plane: route queued reconfiguration through the
 	// single slow switch-configuration pipeline.
 	if cfg.SerializeReconfig {
-		p.VIPRIP.StartSerialized(eng, cfg.SwitchReconfigLatency)
+		p.VIPRIP.StartSerialized(eng, switchReconfigLatency)
 	}
 
 	// Fallible asynchronous control plane (DESIGN.md §12): manager

@@ -38,12 +38,6 @@ func TestConfigValidate(t *testing.T) {
 		t.Error("zero MaxPodServers accepted")
 	}
 	bad = DefaultConfig()
-	bad.PodTargetUtil = 0.9
-	bad.PodOverloadUtil = 0.8
-	if err := bad.Validate(); err == nil {
-		t.Error("target > overload accepted")
-	}
-	bad = DefaultConfig()
 	bad.VIPsPerApp = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("zero VIPsPerApp accepted")

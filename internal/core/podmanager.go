@@ -36,12 +36,6 @@ type PodManager struct {
 	Reconciled   int64
 	DroppedStale int64
 
-	// LastDecision is the wall-clock cost of the most recent Step — the
-	// quantity the paper worries grows with pod size ("too many servers
-	// and applications in the pod ... slows down its resource allocation
-	// algorithms beyond acceptable levels").
-	LastDecision time.Duration
-
 	pendingVM     map[cluster.VMID]bool
 	pendingDeploy map[cluster.AppID]bool
 
@@ -106,7 +100,6 @@ func (pm *PodManager) Utilization() float64 {
 // ones (knob E), rebalance intra-pod RIP weights (knob F), and scale out
 // overloaded applications locally.
 func (pm *PodManager) Step() {
-	start := time.Now()
 	pm.Steps++
 	if pm.p.Cfg.Enabled(KnobVMResize) {
 		pm.resizeVMs()
@@ -118,7 +111,6 @@ func (pm *PodManager) Step() {
 	if pm.p.Cfg.Enabled(KnobAppDeployment) {
 		pm.localScaleOut()
 	}
-	pm.LastDecision = time.Since(start)
 }
 
 // resizeVMs is knob E: hot adjustment of VM hard slices. Two passes:
@@ -129,7 +121,7 @@ func (pm *PodManager) resizeVMs() {
 	if pd == nil {
 		return
 	}
-	head := 1 + pm.p.Cfg.VMHeadroom
+	head := 1 + vmHeadroom
 	for _, sid := range pd.ServerIDs() {
 		srv := pm.p.Cluster.Server(sid)
 		// Pass 1: shrink. A 5% deadband prevents the resize loop from
@@ -212,7 +204,7 @@ func (pm *PodManager) scheduleResize(vmID cluster.VMID, slice cluster.Resources)
 	pm.pendingVM[vmID] = true
 	cid := pm.p.decide(KnobVMResize, viprip.PriorityNormal,
 		trace.VM(vmID), trace.Pod(pm.pod))
-	pm.p.Eng.After(pm.p.Cfg.VMResizeLatency, func() {
+	pm.p.Eng.After(vmResizeLatency, func() {
 		delete(pm.pendingVM, vmID)
 		vm := pm.p.Cluster.VM(vmID)
 		if vm == nil {
@@ -284,7 +276,7 @@ func (pm *PodManager) defragment() {
 		pm.pendingVM[vmID] = true
 		cid := pm.p.decide(KnobVMResize, viprip.PriorityLow,
 			trace.VM(vmID), trace.Server(from), trace.Server(target))
-		pm.p.Eng.After(pm.p.Cfg.VMMigrateLatency, func() {
+		pm.p.Eng.After(vmMigrateLatency, func() {
 			delete(pm.pendingVM, vmID)
 			if pm.p.Cluster.VM(vmID) == nil {
 				return
@@ -421,7 +413,7 @@ func (pm *PodManager) desiredWeights(sw *lbswitch.Switch, vip lbswitch.VIP) ([]f
 func (pm *PodManager) issueWeights(vip lbswitch.VIP, newWeights []float64) {
 	cid := pm.p.decide(KnobRIPWeights, viprip.PriorityNormal,
 		trace.VIP(vip), trace.Pod(pm.pod))
-	pm.p.Eng.After(pm.p.Cfg.SwitchReconfigLatency, func() {
+	pm.p.Eng.After(switchReconfigLatency, func() {
 		pm.p.withCause(cid, func() {
 			pm.p.ctrl.Call(ctrlplane.Pod(int(pm.pod)), ctrlplane.CSM, "intra-weights", func() {
 				if err := pm.p.VIPRIP.AdjustWeights(vip, newWeights); err == nil {
@@ -507,7 +499,7 @@ func (pm *PodManager) tryScaleOut(app cluster.AppID, vip lbswitch.VIP, overload 
 	pm.pendingDeploy[app] = true
 	cid := pm.p.decide(KnobAppDeployment, viprip.PriorityNormal,
 		trace.App(app), trace.Pod(pm.pod), trace.VIP(vip))
-	pm.p.Eng.After(pm.p.Cfg.VMDeployLatency, func() {
+	pm.p.Eng.After(vmDeployLatency, func() {
 		delete(pm.pendingDeploy, app)
 		pm.p.withCause(cid, func() {
 			pm.p.ctrl.Call(ctrlplane.Pod(int(pm.pod)), ctrlplane.CSM, "local-deploy", func() {

@@ -33,12 +33,12 @@ func TestKnobEGrowsOverloadedVM(t *testing.T) {
 	vmID := app.VMIDs()[0]
 	before := p.Cluster.VM(vmID).Slice.CPU
 	pm.Step()
-	p.Eng.RunFor(cfg.VMResizeLatency + 1)
+	p.Eng.RunFor(vmResizeLatency + 1)
 	after := p.Cluster.VM(vmID).Slice.CPU
 	if after <= before {
 		t.Fatalf("slice CPU %v -> %v; knob E did not grow", before, after)
 	}
-	want := 3 * (1 + cfg.VMHeadroom)
+	want := 3 * (1 + vmHeadroom)
 	if math.Abs(after-want) > 1e-6 {
 		t.Errorf("slice = %v, want %v (demand × headroom)", after, want)
 	}
@@ -56,12 +56,12 @@ func TestKnobEShrinksIdleVM(t *testing.T) {
 	pm := p.PodManagers()[0]
 	vmID := app.VMIDs()[0]
 	pm.Step()
-	p.Eng.RunFor(cfg.VMResizeLatency + 1)
+	p.Eng.RunFor(vmResizeLatency + 1)
 	grown := p.Cluster.VM(vmID).Slice.CPU
 	// Demand drops; slice should shrink back to the app default.
 	p.SetAppDemand(app.ID, Demand{CPU: 0.1, Mbps: 10})
 	pm.Step()
-	p.Eng.RunFor(cfg.VMResizeLatency + 1)
+	p.Eng.RunFor(vmResizeLatency + 1)
 	shrunk := p.Cluster.VM(vmID).Slice.CPU
 	if shrunk >= grown {
 		t.Fatalf("slice %v -> %v; knob E did not shrink", grown, shrunk)
@@ -111,7 +111,7 @@ func TestKnobFIntraPodWeights(t *testing.T) {
 
 	pm := p.PodManagers()[0]
 	pm.Step()
-	p.Eng.RunFor(cfg.SwitchReconfigLatency + 1)
+	p.Eng.RunFor(switchReconfigLatency + 1)
 
 	rips, after, _ := sw.Weights(vip)
 	if len(rips) != 2 {
@@ -144,7 +144,7 @@ func TestLocalScaleOutDeploysInstance(t *testing.T) {
 		t.Fatal("setup")
 	}
 	pm.Step()
-	p.Eng.RunFor(cfg.VMDeployLatency + 1)
+	p.Eng.RunFor(vmDeployLatency + 1)
 	if app.NumInstances() != 2 {
 		t.Fatalf("instances = %d, want 2 after local scale-out", app.NumInstances())
 	}
@@ -154,7 +154,7 @@ func TestLocalScaleOutDeploysInstance(t *testing.T) {
 	// Repeated steps keep scaling until overload clears.
 	for i := 0; i < 6; i++ {
 		pm.Step()
-		p.Eng.RunFor(cfg.VMDeployLatency + 1)
+		p.Eng.RunFor(vmDeployLatency + 1)
 	}
 	if got := p.AppSatisfaction(app.ID); got < 0.99 {
 		t.Errorf("satisfaction after scale-out = %v", got)
@@ -209,14 +209,14 @@ func TestDefragmentUnblocksGrowth(t *testing.T) {
 	// victim is the smallest movable VM, which is the hot one itself —
 	// moving it to the empty server also unblocks it.
 	pm.Step()
-	p.Eng.RunFor(cfg.VMMigrateLatency + 1)
+	p.Eng.RunFor(vmMigrateLatency + 1)
 	if pm.Defrags != 1 {
 		t.Fatalf("Defrags = %d, want 1", pm.Defrags)
 	}
 	// After migration, a further step grows the slice on the new server.
 	vm.Demand = cluster.Resources{CPU: 4}
 	pm.Step()
-	p.Eng.RunFor(cfg.VMResizeLatency + 1)
+	p.Eng.RunFor(vmResizeLatency + 1)
 	if got := p.Cluster.VM(vm.ID).Slice.CPU; got <= 1 {
 		t.Errorf("slice after defrag+resize = %v, want > 1", got)
 	}

@@ -7,6 +7,11 @@ import (
 	"megadc/internal/cluster"
 )
 
+// ViolationHoldSec is how long a TTL violator keeps a stale entry past
+// expiry in the standard client model (10 minutes), shared by the
+// request engine, the session driver, and the E4 baseline.
+const ViolationHoldSec float64 = 600
+
 // ClientPopulation models the resolver caches of a pool of clients for
 // one application. Each client caches the VIP it last resolved until the
 // record's TTL expires; a configurable fraction of clients are *TTL

@@ -17,26 +17,24 @@ import (
 	"megadc/internal/metrics"
 )
 
-// PowerModel is the standard linear server power model: idle power plus
-// a utilization-proportional span. A powered-off server draws nothing.
-type PowerModel struct {
-	IdleWatts float64
-	PeakWatts float64
-}
+// The server power model matches commodity 2-socket servers of the
+// paper's era: ~150 W idle, ~300 W at full load.
+const (
+	idleWatts float64 = 150
+	peakWatts float64 = 300
+)
 
-// DefaultPowerModel matches commodity 2-socket servers of the paper's
-// era: ~150 W idle, ~300 W at full load.
-func DefaultPowerModel() PowerModel { return PowerModel{IdleWatts: 150, PeakWatts: 300} }
-
-// Watts returns the draw at the given utilization (clamped to [0,1]).
-func (m PowerModel) Watts(util float64) float64 {
+// watts is the standard linear server power model: idle power plus a
+// utilization-proportional span, at the given utilization (clamped to
+// [0,1]). A powered-off server draws nothing.
+func watts(util float64) float64 {
 	if util < 0 {
 		util = 0
 	}
 	if util > 1 {
 		util = 1
 	}
-	return m.IdleWatts + (m.PeakWatts-m.IdleWatts)*util
+	return idleWatts + (peakWatts-idleWatts)*util
 }
 
 // Meter integrates the platform's power draw over simulated time.
@@ -44,13 +42,12 @@ func (m PowerModel) Watts(util float64) float64 {
 // zero capacity) draw nothing.
 type Meter struct {
 	p     *core.Platform
-	model PowerModel
 	gauge metrics.Gauge
 }
 
 // NewMeter returns a meter over the platform.
-func NewMeter(p *core.Platform, model PowerModel) *Meter {
-	return &Meter{p: p, model: model}
+func NewMeter(p *core.Platform) *Meter {
+	return &Meter{p: p}
 }
 
 // Sample records the current total draw at the platform's current
@@ -67,7 +64,7 @@ func (m *Meter) CurrentWatts() float64 {
 		if srv.Capacity.IsZero() {
 			continue // powered off (or failed)
 		}
-		total += m.model.Watts(srv.Utilization())
+		total += watts(srv.Utilization())
 	}
 	return total
 }
@@ -86,15 +83,6 @@ func (m *Meter) EnergyWh(t float64) float64 { return m.gauge.Average(t) * t / 36
 type Consolidator struct {
 	p *core.Platform
 
-	// PowerOffBelow: a pod whose demand-utilization (over powered-on
-	// capacity) is below this may power a server off.
-	PowerOffBelow float64
-	// PowerOnAbove: a pod above this powers a server back on.
-	PowerOnAbove float64
-	// PackCeiling: migrations during vacating must not push a target
-	// server's slice utilization above this.
-	PackCeiling float64
-
 	// Counters.
 	PowerOffs  int64
 	PowerOns   int64
@@ -103,15 +91,23 @@ type Consolidator struct {
 	off map[cluster.ServerID]cluster.Resources // saved capacities
 }
 
-// NewConsolidator returns a consolidator with the default thresholds
-// (off below 45%, on above 75%, pack to 90%).
+// The consolidator's thresholds.
+const (
+	// powerOffBelow: a pod whose demand-utilization (over powered-on
+	// capacity) is below this may power a server off.
+	powerOffBelow float64 = 0.45
+	// powerOnAbove: a pod above this powers a server back on.
+	powerOnAbove float64 = 0.75
+	// packCeiling: migrations during vacating must not push a target
+	// server's slice utilization above this.
+	packCeiling float64 = 0.90
+)
+
+// NewConsolidator returns a consolidator over the platform.
 func NewConsolidator(p *core.Platform) *Consolidator {
 	return &Consolidator{
-		p:             p,
-		PowerOffBelow: 0.45,
-		PowerOnAbove:  0.75,
-		PackCeiling:   0.90,
-		off:           make(map[cluster.ServerID]cluster.Resources),
+		p:   p,
+		off: make(map[cluster.ServerID]cluster.Resources),
 	}
 }
 
@@ -128,9 +124,9 @@ func (c *Consolidator) Step() {
 func (c *Consolidator) stepPod(pod cluster.PodID) {
 	util := c.p.Pod(pod).Utilization() // demand over powered-on capacity
 	switch {
-	case util > c.PowerOnAbove:
+	case util > powerOnAbove:
 		c.powerOnOne(pod)
-	case util < c.PowerOffBelow:
+	case util < powerOffBelow:
 		c.powerOffOne(pod)
 	}
 }
@@ -158,7 +154,7 @@ func (c *Consolidator) powerOnOne(pod cluster.PodID) {
 }
 
 // powerOffOne vacates and powers off the least-loaded powered-on server
-// of the pod, if its VMs fit elsewhere without breaching PackCeiling and
+// of the pod, if its VMs fit elsewhere without breaching packCeiling and
 // at least one other powered-on server remains.
 func (c *Consolidator) powerOffOne(pod cluster.PodID) {
 	pd := c.p.Cluster.Pod(pod)
@@ -205,7 +201,7 @@ func (c *Consolidator) vacate(pod cluster.PodID, srv *cluster.Server) error {
 				continue
 			}
 			after := s.Used().Add(vm.Slice)
-			if !after.Fits(s.Capacity.Scale(c.PackCeiling)) {
+			if !after.Fits(s.Capacity.Scale(packCeiling)) {
 				continue
 			}
 			if dst == cluster.ServerID(-1) || s.Free().CPU > dstFree {

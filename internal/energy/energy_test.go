@@ -26,27 +26,26 @@ func newPlatform(t *testing.T, pods, servers int) *core.Platform {
 func slice() cluster.Resources { return cluster.Resources{CPU: 1, MemMB: 1024, NetMbps: 100} }
 
 func TestPowerModel(t *testing.T) {
-	m := DefaultPowerModel()
-	if got := m.Watts(0); got != 150 {
+	if got := watts(0); got != 150 {
 		t.Errorf("idle = %v", got)
 	}
-	if got := m.Watts(1); got != 300 {
+	if got := watts(1); got != 300 {
 		t.Errorf("peak = %v", got)
 	}
-	if got := m.Watts(0.5); got != 225 {
+	if got := watts(0.5); got != 225 {
 		t.Errorf("half = %v", got)
 	}
-	if got := m.Watts(-1); got != 150 {
+	if got := watts(-1); got != 150 {
 		t.Errorf("clamp low = %v", got)
 	}
-	if got := m.Watts(2); got != 300 {
+	if got := watts(2); got != 300 {
 		t.Errorf("clamp high = %v", got)
 	}
 }
 
 func TestMeterCountsOnlyPoweredServers(t *testing.T) {
 	p := newPlatform(t, 1, 4)
-	m := NewMeter(p, DefaultPowerModel())
+	m := NewMeter(p)
 	// 4 idle servers → 600 W.
 	if got := m.CurrentWatts(); got != 600 {
 		t.Errorf("idle platform = %v W", got)
@@ -115,7 +114,7 @@ func TestConsolidatorPowersBackOnUnderLoad(t *testing.T) {
 	if offBefore == 0 {
 		t.Fatal("setup: nothing consolidated")
 	}
-	// Demand surges: pod util over remaining capacity > PowerOnAbove.
+	// Demand surges: pod util over remaining capacity > powerOnAbove.
 	onCap := p.Cluster.PodCapacity(p.Cluster.PodIDs()[0]).CPU
 	p.SetAppDemand(app.ID, core.Demand{CPU: onCap * 0.9, Mbps: 100})
 	c.Step()
@@ -172,7 +171,7 @@ func TestConsolidationSavesEnergyOnDiurnalLoad(t *testing.T) {
 		p.DriveDemand(app.ID, workload.Diurnal{Base: 1, Amplitude: 0.8, Period: 43200},
 			core.Demand{CPU: 30, Mbps: 300}, 300, 86400)
 		p.Start()
-		meter := NewMeter(p, DefaultPowerModel())
+		meter := NewMeter(p)
 		minSat = 1.0
 		if consolidate {
 			c := NewConsolidator(p)

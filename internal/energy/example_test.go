@@ -21,7 +21,7 @@ func Example() {
 	if err != nil {
 		panic(err)
 	}
-	meter := energy.NewMeter(p, energy.DefaultPowerModel())
+	meter := energy.NewMeter(p)
 	fmt.Printf("idle draw, all 8 servers on: %.0f W\n", meter.CurrentWatts())
 
 	cons := energy.NewConsolidator(p)

@@ -39,7 +39,6 @@ func RunE2(o Options) (*metrics.Table, *E2Result, error) {
 		podSize = 1000
 	}
 	appsPerServer := 2.5
-	cfg := placement.DefaultGenConfig()
 
 	res := &E2Result{}
 	tb := metrics.NewTable("E2 — placement scalability (centralized vs hierarchical pods)",
@@ -48,7 +47,7 @@ func RunE2(o Options) (*metrics.Table, *E2Result, error) {
 	for _, n := range sizes {
 		apps := int(float64(n) * appsPerServer)
 		rng := rand.New(rand.NewSource(o.Seed))
-		prob := placement.Generate(apps, n, cfg, rng)
+		prob := placement.Generate(apps, n, 0.7, rng)
 
 		// Best of three runs: the small problems finish in milliseconds,
 		// where GC pauses from neighbouring work would distort the curve.

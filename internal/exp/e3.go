@@ -37,10 +37,9 @@ func RunE3(o Options) (*metrics.Table, *E3Result, error) {
 		podSizes = []int{250, 500, 1000, 2000, 4000, 8000}
 	}
 	apps := int(float64(servers) * 2.5)
-	cfg := placement.DefaultGenConfig()
-	cfg.LoadFactor = 0.85 // tight enough that fragmentation shows
 	rng := rand.New(rand.NewSource(o.Seed))
-	prob := placement.Generate(apps, servers, cfg, rng)
+	// Load factor 0.85: tight enough that fragmentation shows.
+	prob := placement.Generate(apps, servers, 0.85, rng)
 
 	res := &E3Result{ClusterServers: servers}
 	// Monolithic reference.

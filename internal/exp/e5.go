@@ -121,7 +121,7 @@ func RunE5(o Options) (*metrics.Table, *E5Result, error) {
 
 		for s := 0; s < steps; s++ {
 			p.Global.Step()
-			p.Eng.RunFor(cfg.DNSUpdateLatency + 1)
+			p.Eng.RunFor(core.DNSUpdateLatency + 1)
 		}
 		utils := p.Net.LinkUtilizations()
 		var maxU float64

@@ -101,7 +101,7 @@ func runPodRelief(o Options, name string, cfg core.Config) (*E7Row, error) {
 	horizon := 2400.0
 	p.Start()
 	p.Eng.Every(1, 5, func() bool {
-		if row.ReliefSeconds < 0 && p.Pod(pod0).Utilization() < cfg.PodOverloadUtil {
+		if row.ReliefSeconds < 0 && p.Pod(pod0).Utilization() < core.PodOverloadUtil {
 			row.ReliefSeconds = p.Eng.Now()
 		}
 		return p.Eng.Now() < horizon

@@ -47,7 +47,7 @@ func RunX1(o Options) (*metrics.Table, *X1Result, error) {
 		p.DriveDemand(app.ID, workload.Diurnal{Base: 1, Amplitude: 0.8, Period: day / 2},
 			core.Demand{CPU: 30, Mbps: 300}, 300, day)
 		p.Start()
-		meter := energy.NewMeter(p, energy.DefaultPowerModel())
+		meter := energy.NewMeter(p)
 		row := X1Row{Config: "always-on", MinSatisfaction: 1}
 		var cons *energy.Consolidator
 		if consolidate {

@@ -81,10 +81,11 @@ type Config struct {
 	MinHealthyServers  int
 	MinHealthySwitches int
 	MinHealthyLinks    int
-	// MinConnectedPods is the partition floor: a partition that would
-	// leave fewer reachable pods is skipped.
-	MinConnectedPods int
 }
+
+// minConnectedPods is the partition floor: a partition that would leave
+// fewer reachable pods is skipped.
+const minConnectedPods = 1
 
 // DefaultConfig returns moderate churn: servers fail most often,
 // switches and links rarely, no flapping.
@@ -98,7 +99,6 @@ func DefaultConfig() Config {
 		MinHealthyServers:  2,
 		MinHealthySwitches: 1,
 		MinHealthyLinks:    1,
-		MinConnectedPods:   1,
 	}
 }
 
@@ -318,7 +318,7 @@ func (in *Injector) partitionPod(id int) {
 	reschedule := func() { in.p.Eng.After(in.exp(cl.MTBF), func() { in.partitionPod(id) }) }
 	bus := in.p.Ctrl()
 	ep := ctrlplane.Pod(id)
-	if bus.Partitioned(ep) || bus.ConnectedPods(len(in.p.PodManagers())) <= in.cfg.MinConnectedPods {
+	if bus.Partitioned(ep) || bus.ConnectedPods(len(in.p.PodManagers())) <= minConnectedPods {
 		in.Skipped++
 		reschedule()
 		return

@@ -37,6 +37,15 @@ type fedApp struct {
 	slice  cluster.Resources
 }
 
+// hotUtil / coldUtil are the steering thresholds: demand share moves
+// from DCs above hotUtil to DCs below coldUtil; shiftStep is the share
+// fraction moved per hot DC per Step.
+const (
+	hotUtil   float64 = 0.75
+	coldUtil  float64 = 0.55
+	shiftStep float64 = 0.25
+)
+
 // Federation is the cross-DC resource manager.
 type Federation struct {
 	Eng *sim.Engine
@@ -44,13 +53,6 @@ type Federation struct {
 	dcs  []*DC
 	apps map[FedAppID]*fedApp
 	next FedAppID
-
-	// HotUtil / ColdUtil are the steering thresholds: demand share moves
-	// from DCs above HotUtil to DCs below ColdUtil.
-	HotUtil  float64
-	ColdUtil float64
-	// ShiftStep is the share fraction moved per hot DC per Step.
-	ShiftStep float64
 
 	// SnapshotEvery, when positive, makes Step steer on DC-utilization
 	// snapshots refreshed at this period instead of live reads — the
@@ -68,11 +70,8 @@ type Federation struct {
 // New returns an empty federation on the given engine.
 func New(eng *sim.Engine) *Federation {
 	return &Federation{
-		Eng:       eng,
-		apps:      make(map[FedAppID]*fedApp),
-		HotUtil:   0.75,
-		ColdUtil:  0.55,
-		ShiftStep: 0.25,
+		Eng:  eng,
+		apps: make(map[FedAppID]*fedApp),
 	}
 }
 
@@ -177,7 +176,7 @@ func (f *Federation) Utilization(dc *DC) float64 {
 }
 
 // Step runs one federation control iteration: for every app covering a
-// hot DC (> HotUtil) and at least one cold DC (< ColdUtil), ShiftStep of
+// hot DC (> hotUtil) and at least one cold DC (< coldUtil), shiftStep of
 // the hot share moves to the cold DCs, split evenly. Shares always sum
 // to 1 — the cross-DC analogue of weight-preserving RIP adjustment.
 func (f *Federation) Step() {
@@ -193,9 +192,9 @@ func (f *Federation) Step() {
 		var hot, cold []int
 		for dcID := range fa.shares {
 			switch {
-			case utils[dcID] > f.HotUtil && fa.shares[dcID] > 0:
+			case utils[dcID] > hotUtil && fa.shares[dcID] > 0:
 				hot = append(hot, dcID)
-			case utils[dcID] < f.ColdUtil:
+			case utils[dcID] < coldUtil:
 				cold = append(cold, dcID)
 			}
 		}
@@ -206,7 +205,7 @@ func (f *Federation) Step() {
 		slices.Sort(cold)
 		var moved float64
 		for _, h := range hot {
-			d := fa.shares[h] * f.ShiftStep
+			d := fa.shares[h] * shiftStep
 			fa.shares[h] -= d
 			moved += d
 		}

@@ -87,10 +87,10 @@ func TestStepShiftsDemandFromHotToColdDC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if u := f.Utilization(small); u <= f.HotUtil {
+	if u := f.Utilization(small); u <= hotUtil {
 		t.Fatalf("setup: small DC util %v not hot", u)
 	}
-	if u := f.Utilization(big); u >= f.ColdUtil {
+	if u := f.Utilization(big); u >= coldUtil {
 		t.Fatalf("setup: big DC util %v not cold", u)
 	}
 	for i := 0; i < 12; i++ {
@@ -103,7 +103,7 @@ func TestStepShiftsDemandFromHotToColdDC(t *testing.T) {
 	if shares["big"] <= 0.5 {
 		t.Errorf("cold DC gained nothing: %v", shares)
 	}
-	if u := f.Utilization(small); u > f.HotUtil {
+	if u := f.Utilization(small); u > hotUtil {
 		t.Errorf("small DC still hot after steering: %v", u)
 	}
 	if f.Shifts == 0 {
@@ -139,7 +139,7 @@ func TestFederationWithControlLoopsEndToEnd(t *testing.T) {
 	if got := f.TotalSatisfaction(); got < 0.9 {
 		t.Errorf("federation satisfaction = %v", got)
 	}
-	if u := f.Utilization(small); u > f.HotUtil+0.1 {
+	if u := f.Utilization(small); u > hotUtil+0.1 {
 		t.Errorf("small DC left hot: %v", u)
 	}
 	if err := f.CheckInvariants(); err != nil {

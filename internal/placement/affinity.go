@@ -65,9 +65,6 @@ type AffinityController struct {
 	Pairs []AffinityPair
 }
 
-// Name identifies the algorithm in experiment tables.
-func (c *AffinityController) Name() string { return "affinity-controller" }
-
 // Place runs the base controller, then performs an
 // affinity pass that relocates instances of paired apps onto common
 // machines when a feasible swap exists and costs no satisfied demand.

@@ -33,9 +33,7 @@ func TestColocationMeasure(t *testing.T) {
 
 func TestAffinityControllerColocatesPairs(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	cfg := DefaultGenConfig()
-	cfg.LoadFactor = 0.5
-	p := Generate(40, 20, cfg, rng)
+	p := Generate(40, 20, 0.5, rng)
 	// Pair up neighbouring apps.
 	var pairs []AffinityPair
 	for a := 0; a+1 < 40; a += 2 {
@@ -63,14 +61,11 @@ func TestAffinityControllerColocatesPairs(t *testing.T) {
 
 func TestAffinityControllerNoPairsEqualsBase(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	p := Generate(30, 12, DefaultGenConfig(), rng)
+	p := Generate(30, 12, 0.7, rng)
 	base := (&Controller{}).Place(p)
 	aff := (&AffinityController{}).Place(p)
 	if math.Abs(base.Satisfied()-aff.Satisfied()) > 1e-9 {
 		t.Errorf("no-pairs affinity differs: %v vs %v", aff.Satisfied(), base.Satisfied())
-	}
-	if (&AffinityController{}).Name() != "affinity-controller" {
-		t.Error("name wrong")
 	}
 }
 

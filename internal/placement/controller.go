@@ -29,9 +29,6 @@ type Controller struct {
 	LastIterations int
 }
 
-// Name identifies the algorithm in experiment tables.
-func (c *Controller) Name() string { return "controller" }
-
 // Place solves the problem with a feasible placement.
 func (c *Controller) Place(p *Problem) *Placement {
 	instances := startFromCurrent(p)

@@ -8,7 +8,7 @@ import (
 
 func TestSplitIntoPods(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	prob := Generate(100, 40, DefaultGenConfig(), rng)
+	prob := Generate(100, 40, 0.7, rng)
 	subs := SplitIntoPods(prob, 10)
 	if len(subs) != 4 {
 		t.Fatalf("pods = %d", len(subs))
@@ -41,7 +41,7 @@ func TestSplitIntoPods(t *testing.T) {
 
 func TestParallelPlaceMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	prob := Generate(200, 80, DefaultGenConfig(), rng)
+	prob := Generate(200, 80, 0.7, rng)
 	subs := SplitIntoPods(prob, 10)
 	seq := ParallelPlace(subs, 1)
 	par := ParallelPlace(subs, 8)
@@ -67,7 +67,7 @@ func TestParallelPlaceEdgeCases(t *testing.T) {
 		t.Errorf("empty input -> %d results", len(got))
 	}
 	rng := rand.New(rand.NewSource(33))
-	one := []*Problem{Generate(10, 4, DefaultGenConfig(), rng)}
+	one := []*Problem{Generate(10, 4, 0.7, rng)}
 	got := ParallelPlace(one, 0) // GOMAXPROCS default
 	if len(got) != 1 || got[0] == nil {
 		t.Fatal("single problem not solved")
@@ -79,7 +79,7 @@ func TestParallelPlaceEdgeCases(t *testing.T) {
 
 func BenchmarkParallelPlacePods(b *testing.B) {
 	rng := rand.New(rand.NewSource(34))
-	prob := Generate(2500, 1000, DefaultGenConfig(), rng)
+	prob := Generate(2500, 1000, 0.7, rng)
 	subs := SplitIntoPods(prob, 125)
 	for _, workers := range []int{1, 4} {
 		workers := workers

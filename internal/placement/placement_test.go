@@ -17,18 +17,6 @@ func tinyProblem(demandA, demandB float64) *Problem {
 	}
 }
 
-// placer is the method set every placement algorithm here shares. Place
-// must return a feasible placement (CheckFeasible == nil) for any valid
-// problem.
-type placer interface {
-	Name() string
-	Place(p *Problem) *Placement
-}
-
-func allPlacers() []placer {
-	return []placer{&Controller{}, FirstFit{}, BestFit{}, WorstFit{}}
-}
-
 func TestValidate(t *testing.T) {
 	good := tinyProblem(1, 1)
 	if err := good.Validate(); err != nil {
@@ -59,15 +47,13 @@ func TestValidate(t *testing.T) {
 }
 
 func TestAllPlacersSatisfyEasyProblem(t *testing.T) {
-	for _, pl := range allPlacers() {
-		p := tinyProblem(3, 2) // total 5 < 8 CPU
-		sol := pl.Place(p)
-		if err := CheckFeasible(p, sol); err != nil {
-			t.Errorf("%s infeasible: %v", pl.Name(), err)
-		}
-		if got := sol.SatisfiedFraction(p); math.Abs(got-1) > 1e-6 {
-			t.Errorf("%s satisfied %v, want 1", pl.Name(), got)
-		}
+	p := tinyProblem(3, 2) // total 5 < 8 CPU
+	sol := (&Controller{}).Place(p)
+	if err := CheckFeasible(p, sol); err != nil {
+		t.Errorf("controller infeasible: %v", err)
+	}
+	if got := sol.SatisfiedFraction(p); math.Abs(got-1) > 1e-6 {
+		t.Errorf("controller satisfied %v, want 1", got)
 	}
 }
 
@@ -80,31 +66,27 @@ func TestPlacersRespectMemoryLimit(t *testing.T) {
 		MachCPU:   []float64{4, 4},
 		MachMem:   []float64{1024, 1024},
 	}
-	for _, pl := range allPlacers() {
-		sol := pl.Place(p)
-		if err := CheckFeasible(p, sol); err != nil {
-			t.Errorf("%s infeasible: %v", pl.Name(), err)
-		}
-		if len(sol.Instances[0]) != 2 {
-			t.Errorf("%s placed %d instances, want 2", pl.Name(), len(sol.Instances[0]))
-		}
-		if got := sol.SatisfiedFraction(p); math.Abs(got-1) > 1e-6 {
-			t.Errorf("%s satisfied %v, want 1", pl.Name(), got)
-		}
+	sol := (&Controller{}).Place(p)
+	if err := CheckFeasible(p, sol); err != nil {
+		t.Errorf("controller infeasible: %v", err)
+	}
+	if len(sol.Instances[0]) != 2 {
+		t.Errorf("controller placed %d instances, want 2", len(sol.Instances[0]))
+	}
+	if got := sol.SatisfiedFraction(p); math.Abs(got-1) > 1e-6 {
+		t.Errorf("controller satisfied %v, want 1", got)
 	}
 }
 
 func TestOverloadedProblemPartialSatisfaction(t *testing.T) {
 	p := tinyProblem(10, 10) // total 20 > 8 CPU
-	for _, pl := range allPlacers() {
-		sol := pl.Place(p)
-		if err := CheckFeasible(p, sol); err != nil {
-			t.Errorf("%s infeasible: %v", pl.Name(), err)
-		}
-		got := sol.Satisfied()
-		if math.Abs(got-8) > 1e-6 {
-			t.Errorf("%s satisfied %v CPU, want 8 (all capacity)", pl.Name(), got)
-		}
+	sol := (&Controller{}).Place(p)
+	if err := CheckFeasible(p, sol); err != nil {
+		t.Errorf("controller infeasible: %v", err)
+	}
+	got := sol.Satisfied()
+	if math.Abs(got-8) > 1e-6 {
+		t.Errorf("controller satisfied %v CPU, want 8 (all capacity)", got)
 	}
 }
 
@@ -203,8 +185,7 @@ func TestControllerIterationCap(t *testing.T) {
 
 func TestGenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	cfg := DefaultGenConfig()
-	p := Generate(100, 40, cfg, rng)
+	p := Generate(100, 40, 0.7, rng)
 	if err := p.Validate(); err != nil {
 		t.Fatalf("generated problem invalid: %v", err)
 	}
@@ -212,7 +193,7 @@ func TestGenerate(t *testing.T) {
 		t.Errorf("sizes = %d,%d", p.NumApps(), p.NumMachines())
 	}
 	total := p.TotalDemand()
-	capacity := cfg.MachineCPU * 40
+	capacity := machineCPU * 40
 	if total < 0.4*capacity || total > 1.0*capacity {
 		t.Errorf("total demand %v vs capacity %v; load factor should be ≈0.7", total, capacity)
 	}
@@ -221,28 +202,24 @@ func TestGenerate(t *testing.T) {
 			t.Error("Generate(0,1) did not panic")
 		}
 	}()
-	Generate(0, 1, cfg, rng)
+	Generate(0, 1, 0.7, rng)
 }
 
 func TestGeneratedProblemsSolvable(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	p := Generate(200, 80, DefaultGenConfig(), rng)
-	for _, pl := range allPlacers() {
-		sol := pl.Place(p)
-		if err := CheckFeasible(p, sol); err != nil {
-			t.Errorf("%s infeasible: %v", pl.Name(), err)
-		}
-		if got := sol.SatisfiedFraction(p); got < 0.95 {
-			t.Errorf("%s satisfied only %v of a 0.7-load problem", pl.Name(), got)
-		}
+	p := Generate(200, 80, 0.7, rng)
+	sol := (&Controller{}).Place(p)
+	if err := CheckFeasible(p, sol); err != nil {
+		t.Errorf("controller infeasible: %v", err)
+	}
+	if got := sol.SatisfiedFraction(p); got < 0.95 {
+		t.Errorf("controller satisfied only %v of a 0.7-load problem", got)
 	}
 }
 
 func TestControllerQualityAtHighLoad(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cfg := DefaultGenConfig()
-	cfg.LoadFactor = 0.95
-	p := Generate(300, 60, cfg, rng)
+	p := Generate(300, 60, 0.95, rng)
 	sol := (&Controller{}).Place(p)
 	if err := CheckFeasible(p, sol); err != nil {
 		t.Fatalf("infeasible: %v", err)
@@ -260,7 +237,7 @@ func TestPropertyWarmResolveIsFixedPoint(t *testing.T) {
 		nApps := int(nApps8%40) + 1
 		nMach := int(nMach8%15) + 1
 		rng := rand.New(rand.NewSource(seed))
-		p := Generate(nApps, nMach, DefaultGenConfig(), rng)
+		p := Generate(nApps, nMach, 0.7, rng)
 		first := (&Controller{}).Place(p)
 		warm := withCurrent(p, first)
 		second := (&Controller{}).Place(warm)
@@ -279,31 +256,19 @@ func TestPropertyWarmResolveIsFixedPoint(t *testing.T) {
 	}
 }
 
-// Property: every placer returns feasible placements on random problems,
-// and the controller satisfies at least as much demand as first-fit.
+// Property: the controller returns feasible placements on random
+// problems.
 func TestPropertyPlacersFeasible(t *testing.T) {
 	f := func(seed int64, nApps8, nMach8 uint8) bool {
 		nApps := int(nApps8%60) + 1
 		nMach := int(nMach8%20) + 1
 		rng := rand.New(rand.NewSource(seed))
-		cfg := DefaultGenConfig()
-		cfg.LoadFactor = 0.3 + rng.Float64()
-		p := Generate(nApps, nMach, cfg, rng)
-		var ctrlSat, ffSat float64
-		for _, pl := range allPlacers() {
-			sol := pl.Place(p)
-			if err := CheckFeasible(p, sol); err != nil {
-				t.Logf("%s: %v", pl.Name(), err)
-				return false
-			}
-			switch pl.Name() {
-			case "controller":
-				ctrlSat = sol.Satisfied()
-			case "first-fit":
-				ffSat = sol.Satisfied()
-			}
+		p := Generate(nApps, nMach, 0.3+rng.Float64(), rng)
+		if err := CheckFeasible(p, (&Controller{}).Place(p)); err != nil {
+			t.Logf("controller: %v", err)
+			return false
 		}
-		return ctrlSat >= ffSat-1e-6
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Error(err)

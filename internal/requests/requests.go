@@ -95,14 +95,10 @@ type Config struct {
 	// is re-derived from backend health. It is the engine's tick hook:
 	// scheduled with Eng.Every, consuming no randomness.
 	RefreshEvery float64
-	// Population, ViolatorFraction, ViolationHoldSec parameterize the
-	// per-app DNS client populations, exactly as in sessions.Config.
-	Population       int
-	ViolatorFraction float64
-	ViolationHoldSec float64
-	// Seed seeds the engine's own RNG (0 = derive from the platform's
-	// topology seed via an offset, so two subsystems never share one).
-	Seed int64
+	// Population is the size of each app's DNS client population; a
+	// violatorFraction of its clients hold entries dnsctl.ViolationHoldSec
+	// past the TTL.
+	Population int
 	// StopAt ends arrival generation (0 = run for the whole simulation).
 	StopAt float64
 	// Registry receives the latency histograms and outcome counters.
@@ -110,19 +106,21 @@ type Config struct {
 	Registry *metrics.Registry
 }
 
+// violatorFraction is the share of each app's clients that ignore the
+// DNS TTL, as in sessions.DefaultConfig.
+const violatorFraction = 0.10
+
 // DefaultConfig returns the standard request model: 1,000-deep switch
 // queues, 5 ms of CPU per request, exponential service, capacity
 // re-derived every second, and the sessions package's default client
 // population.
 func DefaultConfig() Config {
 	return Config{
-		QueueCap:         1000,
-		CPUPerRequest:    0.005,
-		Service:          ServiceExponential,
-		RefreshEvery:     1,
-		Population:       1000,
-		ViolatorFraction: 0.10,
-		ViolationHoldSec: 600,
+		QueueCap:      1000,
+		CPUPerRequest: 0.005,
+		Service:       ServiceExponential,
+		RefreshEvery:  1,
+		Population:    1000,
 	}
 }
 
@@ -211,16 +209,13 @@ func New(p *core.Platform, cfg Config) (*Engine, error) {
 	if cfg.Population <= 0 {
 		return nil, fmt.Errorf("requests: Population %d must be > 0", cfg.Population)
 	}
-	seed := cfg.Seed
-	if seed == 0 {
-		// Offset so a request engine and a ctrlplane bus seeded from the
-		// same topology seed still draw distinct streams.
-		seed = p.Seed() + 0x726571 // "req"
-	}
 	e := &Engine{
-		p:        p,
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(seed)),
+		p:   p,
+		cfg: cfg,
+		// The engine seeds its own RNG from the topology seed plus an
+		// offset, so a request engine and a ctrlplane bus seeded from the
+		// same topology seed still draw distinct streams.
+		rng:      rand.New(rand.NewSource(p.Seed() + 0x726571)), // "req"
 		scan:     p.NewBackendScan(),
 		queues:   make(map[lbswitch.SwitchID]*swQueue),
 		latAll:   cfg.Registry.Histogram("requests.latency.all"),
@@ -248,7 +243,7 @@ func (e *Engine) AddApp(app cluster.AppID, weight float64) error {
 		}
 	}
 	pop, err := dnsctl.NewClientPopulation(e.p.DNS, app, e.cfg.Population,
-		e.cfg.ViolatorFraction, e.cfg.ViolationHoldSec, e.rng)
+		violatorFraction, dnsctl.ViolationHoldSec, e.rng)
 	if err != nil {
 		return err
 	}

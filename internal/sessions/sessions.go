@@ -28,10 +28,9 @@ import (
 type Config struct {
 	// Population is the number of sampled clients (resolver caches).
 	Population int
-	// ViolatorFraction of clients ignore the DNS TTL.
+	// ViolatorFraction of clients ignore the DNS TTL, keeping stale
+	// entries for dnsctl.ViolationHoldSec.
 	ViolatorFraction float64
-	// ViolationHoldSec is how long violators keep stale entries.
-	ViolationHoldSec float64
 	// Template draws each session's duration and resource footprint.
 	Template workload.SessionTemplate
 }
@@ -43,7 +42,6 @@ func DefaultConfig() Config {
 	return Config{
 		Population:       1000,
 		ViolatorFraction: 0.10,
-		ViolationHoldSec: 600,
 		Template:         workload.SessionTemplate{MeanDuration: 30, Mbps: 2, CPU: 0.02},
 	}
 }
@@ -123,7 +121,7 @@ func (d *Driver) AddApp(app cluster.AppID, profile workload.Profile) error {
 		return fmt.Errorf("sessions: app %d already driven", app)
 	}
 	pop, err := dnsctl.NewClientPopulation(d.p.DNS, app, d.cfg.Population,
-		d.cfg.ViolatorFraction, d.cfg.ViolationHoldSec, d.p.Rand())
+		d.cfg.ViolatorFraction, dnsctl.ViolationHoldSec, d.p.Rand())
 	if err != nil {
 		return err
 	}

@@ -88,7 +88,6 @@ func TestNextArrivalRespectsMaxRate(t *testing.T) {
 		Constant(15),
 		Diurnal{Base: 40, Amplitude: 35, Period: 120, Phase: 1},
 		FlashCrowd{Base: 5, Peak: 200, Start: 50, Ramp: 25, Hold: 60},
-		Scaled{P: Diurnal{Base: 10, Amplitude: 10, Period: 300}, K: 3},
 		Step{Before: 5, After: 80, At: 100},
 	}
 	for pi, p := range profiles {

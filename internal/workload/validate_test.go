@@ -90,24 +90,6 @@ func TestDiurnalValidate(t *testing.T) {
 	}
 }
 
-func TestScaledValidate(t *testing.T) {
-	if err := (Scaled{P: Constant(5), K: 2}).Validate(); err != nil {
-		t.Fatalf("valid scaled rejected: %v", err)
-	}
-	// K < 0 flips MaxRate negative, breaking NextArrival's thinning
-	// bound; non-finite K poisons every rate.
-	for _, k := range []float64{-1, math.NaN(), math.Inf(1)} {
-		if err := (Scaled{P: Constant(5), K: k}).Validate(); err == nil {
-			t.Errorf("K=%v validated, want error", k)
-		}
-	}
-	// Validation recurses into the wrapped profile.
-	inner := Scaled{P: Diurnal{Base: 1, Amplitude: 1, Period: 0}, K: 1}
-	if err := inner.Validate(); err == nil {
-		t.Error("scaled wrapper of invalid diurnal validated, want error")
-	}
-}
-
 func TestValidateProfile(t *testing.T) {
 	if err := ValidateProfile(nil); err == nil {
 		t.Error("nil profile validated")

@@ -172,34 +172,8 @@ func (s Step) RateAt(t float64) float64 {
 // MaxRate implements Profile.
 func (s Step) MaxRate() float64 { return math.Max(s.Before, s.After) }
 
-// Scaled multiplies an underlying profile by K.
-type Scaled struct {
-	P Profile
-	K float64
-}
-
-// RateAt implements Profile.
-func (s Scaled) RateAt(t float64) float64 { return s.K * s.P.RateAt(t) }
-
-// MaxRate implements Profile.
-func (s Scaled) MaxRate() float64 { return s.K * s.P.MaxRate() }
-
-// Validate rejects K < 0 and non-finite K — a negative K flips MaxRate
-// negative, which breaks NextArrival's thinning bound (it treats
-// MaxRate ≤ 0 as "no arrivals ever" while RateAt may still be sampled
-// negative elsewhere) — and validates the wrapped profile.
-func (s Scaled) Validate() error {
-	if math.IsNaN(s.K) || math.IsInf(s.K, 0) {
-		return fmt.Errorf("workload: Scaled.K is not finite: %v", s.K)
-	}
-	if s.K < 0 {
-		return fmt.Errorf("workload: Scaled.K must be >= 0, got %v", s.K)
-	}
-	return ValidateProfile(s.P)
-}
-
 // ValidateProfile validates a profile when its concrete type provides a
-// Validate method (FlashCrowd, Diurnal, Scaled, …) and otherwise checks
+// Validate method (FlashCrowd, Diurnal, …) and otherwise checks
 // the generic contract: MaxRate must be finite and non-negative.
 // Callers that accept externally configured profiles (the request
 // engine, CLI flags) run this once up front so a bad profile fails

@@ -98,14 +98,10 @@ func TestDiurnal(t *testing.T) {
 	}
 }
 
-func TestStepAndScaled(t *testing.T) {
+func TestStep(t *testing.T) {
 	s := Step{Before: 2, After: 8, At: 10}
 	if s.RateAt(9.9) != 2 || s.RateAt(10) != 8 || s.MaxRate() != 8 {
 		t.Error("Step wrong")
-	}
-	sc := Scaled{P: s, K: 2}
-	if sc.RateAt(20) != 16 || sc.MaxRate() != 16 {
-		t.Error("Scaled wrong")
 	}
 }
 

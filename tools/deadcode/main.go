@@ -6,7 +6,9 @@
 // declaration's own directory does not count, so an API kept alive only
 // by its own unit tests is reported; uses from other packages' tests
 // (root benchmarks, oracles another package's tests call) and from
-// nested modules do count. A method is skipped when its type has every
+// nested modules do count. The type named in a method's receiver is not
+// used by that method, so a type kept only by its own methods is
+// reported. A method is skipped when its type has every
 // method of some interface in the type-checked program that includes
 // it (String, Len/Less/Swap, the policy interfaces, ...), because
 // interface dispatch uses such methods without naming them.
@@ -50,6 +52,9 @@ type checker struct {
 	fset  *token.FileSet
 	imp   types.ImporterFrom
 	units []*unit
+	// recv holds the identifiers of method receiver types, which
+	// do not count as uses.
+	recv map[*ast.Ident]bool
 }
 
 func main() {
@@ -80,7 +85,7 @@ func scan(root string) ([]string, error) {
 	// this directory.
 	build.Default.Dir = root
 	fset := token.NewFileSet()
-	c := &checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)}
+	c := &checker{fset: fset, imp: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom), recv: map[*ast.Ident]bool{}}
 	if err := c.module(root, root); err != nil {
 		return nil, err
 	}
@@ -200,6 +205,18 @@ func (c *checker) check(path string, files []*ast.File, internal bool, imp types
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
 	c.units = append(c.units, &unit{pkg: pkg, info: info, internal: internal})
+	for _, f := range files {
+		for _, d := range f.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
+				ast.Inspect(fd.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						c.recv[id] = true
+					}
+					return true
+				})
+			}
+		}
+	}
 	return pkg, nil
 }
 
@@ -344,7 +361,7 @@ func (c *checker) dead(root string) []string {
 	for _, u := range c.units {
 		for id, obj := range u.info.Uses {
 			k := key(obj)
-			if k == "" || used[k] {
+			if k == "" || used[k] || c.recv[id] {
 				continue
 			}
 			if file := c.fset.Position(id.Pos()).Filename; strings.HasSuffix(file, "_test.go") &&

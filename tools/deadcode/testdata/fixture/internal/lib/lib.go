@@ -16,3 +16,10 @@ func (Widget) Name() string { return "widget" }
 
 // NestedOnly is used by the nested module: kept.
 func NestedOnly() {}
+
+// SelfKept is named only by its method's receiver and its package's
+// own test: both reported.
+type SelfKept struct{}
+
+// Run is called only by this package's own test.
+func (SelfKept) Run() {}

@@ -1,3 +1,3 @@
 package lib
 
-func useOwn() { OwnTestOnly() }
+func useOwn() { OwnTestOnly(); SelfKept{}.Run() }
