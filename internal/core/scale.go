@@ -45,7 +45,7 @@ type ScaleSpec struct {
 }
 
 // ScaleSpecFor derives a proportional tier of the paper-scale platform
-// from its server count (the scale index of BENCH_scale.json): as many
+// from its server count (the scale index of the scale benchmarks): as many
 // apps as servers, 20 instances per app, so every server carries ~20
 // VMs at every tier.
 func ScaleSpecFor(servers int) ScaleSpec {

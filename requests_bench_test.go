@@ -2,9 +2,8 @@ package megadc
 
 // Request-engine scale benchmarks (DESIGN.md §14): open-loop request
 // traffic measured at LB-fabric sizes selected by MEGADC_REQSCALE (the
-// switch count, one VIP-exposed application per switch).
-// scripts/bench_requests.sh sweeps the 1K/10K trajectory and merges
-// each tier into BENCH_requests.json via `benchjson -scale N -merge`.
+// switch count, one VIP-exposed application per switch). The layered
+// benchmark (layerbench/) is the performance ledger.
 //
 // Two measurements per tier, driven with -benchtime=1x and reported as
 // custom metrics so the baseline records stay stable at one iteration:

@@ -3,9 +3,9 @@ package megadc
 // Scale-tier benchmarks (DESIGN.md §13): the same three measurements —
 // bulk construction, steady incremental tick, full recompute — taken at
 // platform sizes selected by MEGADC_SCALE (the server count, which is
-// also the app count; see core.ScaleSpecFor). scripts/bench_scale.sh
-// sweeps the 1K/10K/100K/300K trajectory and merges each tier into
-// BENCH_scale.json via `benchjson -scale N -merge`.
+// also the app count; see core.ScaleSpecFor), e.g.
+// `MEGADC_SCALE=100000 go test -run '^$' -bench Scale -benchtime=1x .`.
+// The layered benchmark (layerbench/) is the performance ledger.
 //
 // The benchmarks are driven with -benchtime=1x: construction at the
 // 300K tier takes over a minute, so SteadyTick amortizes a fixed batch
