@@ -33,8 +33,8 @@ import (
 
 // KnobName maps an EvDecision knob code (Event.A) to the metric label
 // used in causal.actuation.<knob> histogram names. The codes are
-// core.Knob values; the table mirrors core.Knob.String() without
-// importing core (core imports this package).
+// core.Knob values, and core.Knob.String names them through this table
+// (core imports this package, so the table lives here).
 func KnobName(code int) string {
 	switch code {
 	case 0:
@@ -53,9 +53,9 @@ func KnobName(code int) string {
 	return "unknown"
 }
 
-// PriorityName maps an EvDecision priority code (Event.B, a
-// viprip.Priority value) to its histogram label, mirroring the span
-// layer's class names.
+// PriorityName maps a viprip.Priority value (an EvDecision's Event.B,
+// a request event's Event.A) to its histogram label, here and in the
+// span layer's viprip.* histogram names.
 func PriorityName(code int) string {
 	switch code {
 	case 0:

@@ -30,7 +30,6 @@ type VMState int
 const (
 	VMDeploying VMState = iota // being created; not yet serving
 	VMRunning                  // serving traffic
-	VMMigrating                // moving between servers; still serving (live migration)
 	VMStopped                  // removed from service
 )
 
@@ -40,8 +39,6 @@ func (s VMState) String() string {
 		return "deploying"
 	case VMRunning:
 		return "running"
-	case VMMigrating:
-		return "migrating"
 	case VMStopped:
 		return "stopped"
 	}
@@ -103,7 +100,7 @@ type VM struct {
 // Served returns the demand actually satisfied: the component-wise minimum
 // of demand and slice. A VM that is not running serves nothing.
 func (v *VM) Served() Resources {
-	if v.State != VMRunning && v.State != VMMigrating {
+	if v.State != VMRunning {
 		return Resources{}
 	}
 	return v.Demand.Min(v.Slice)
@@ -331,7 +328,7 @@ func (c *Cluster) Start(vm VMID) error {
 	if v == nil {
 		return fmt.Errorf("%w: vm %d", ErrNotFound, vm)
 	}
-	if v.State != VMDeploying && v.State != VMMigrating {
+	if v.State != VMDeploying {
 		return fmt.Errorf("%w: vm %d is %v", ErrBadState, vm, v.State)
 	}
 	v.State = VMRunning

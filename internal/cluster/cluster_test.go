@@ -313,7 +313,7 @@ func TestIDListings(t *testing.T) {
 func TestVMStateStrings(t *testing.T) {
 	cases := map[VMState]string{
 		VMDeploying: "deploying", VMRunning: "running",
-		VMMigrating: "migrating", VMStopped: "stopped", VMState(9): "VMState(9)",
+		VMStopped: "stopped", VMState(9): "VMState(9)",
 	}
 	for s, want := range cases {
 		if s.String() != want {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -26,10 +27,11 @@ func causalConfig() (Config, *causal.Assembler) {
 // (TestTracedRunDeterminism). A third run at a different Propagate
 // worker count must render identically too: CauseIDs are allocated
 // only in single-threaded control code, so data-path parallelism can
-// never reorder them.
+// never reorder them. Each run also exports the recorder's Chrome trace,
+// which must be valid JSON with events and identical across the runs.
 func TestCausalTreeDeterminism(t *testing.T) {
 	const nOps = 60
-	render := func(workers int) []byte {
+	render := func(workers int) (trees, chrome []byte) {
 		cfg, asm := causalConfig()
 		cfg.AuditEvery = 10
 		cfg.PropagateWorkers = workers
@@ -41,16 +43,32 @@ func TestCausalTreeDeterminism(t *testing.T) {
 		if len(asm.Causes()) == 0 {
 			t.Fatal("scenario assembled no decision trees")
 		}
-		return b.Bytes()
+		var c bytes.Buffer
+		if err := cfg.Trace.ExportChrome(&c); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []json.RawMessage `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(c.Bytes(), &doc); err != nil {
+			t.Fatalf("Chrome export does not decode: %v", err)
+		}
+		if len(doc.TraceEvents) <= 1 { // the process_name metadata is always there
+			t.Fatalf("Chrome export has %d traceEvents, want recorded events too", len(doc.TraceEvents))
+		}
+		return b.Bytes(), c.Bytes()
 	}
-	a := render(1)
-	b := render(1)
+	a, ac := render(1)
+	b, bc := render(1)
 	if !bytes.Equal(a, b) {
 		t.Error("span trees differ across identically-seeded runs")
 	}
-	c := render(4)
+	c, cc := render(4)
 	if !bytes.Equal(a, c) {
 		t.Error("span trees differ across Propagate worker counts")
+	}
+	if !bytes.Equal(ac, bc) || !bytes.Equal(ac, cc) {
+		t.Error("Chrome exports differ across the three runs")
 	}
 }
 

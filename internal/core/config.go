@@ -37,21 +37,10 @@ const (
 )
 
 func (k Knob) String() string {
-	switch k {
-	case KnobSelectiveExposure:
-		return "selective-vip-exposure"
-	case KnobVIPTransfer:
-		return "vip-transfer"
-	case KnobServerTransfer:
-		return "server-transfer"
-	case KnobAppDeployment:
-		return "app-deployment"
-	case KnobVMResize:
-		return "vm-resize"
-	case KnobRIPWeights:
-		return "rip-weight-adjust"
+	if k < 0 || k >= numKnobs {
+		return fmt.Sprintf("Knob(%d)", int(k))
 	}
-	return fmt.Sprintf("Knob(%d)", int(k))
+	return causal.KnobName(int(k))
 }
 
 // Utilization thresholds of the resource-management platform.

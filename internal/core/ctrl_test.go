@@ -99,7 +99,7 @@ func TestSyncEquivalenceSerialized(t *testing.T) {
 // retry cap and then dead-lettered — AFTER its first delivery already
 // applied. Without the per-drain token and per-attempt settlement
 // guard, the duplicate completions would re-expose the draining VIP
-// (I1.EXPOSED_HOMED) and double-count Result.Broken into
+// (I1.EXPOSED_HOMED) and double-count the request's Broken count into
 // DrainForceBreaks (I4.BROKEN_ACCOUNTED: every broken connection
 // accounted exactly once).
 func TestDrainRetryTimeoutAccounting(t *testing.T) {

@@ -574,7 +574,7 @@ func (g *GlobalManager) startDrainAndTransfer(vip lbswitch.VIP, dst lbswitch.Swi
 					Op: viprip.OpTransferVIP, App: app,
 					Priority: viprip.PriorityHigh,
 					VIP:      vip, Dst: dst, Force: retriesLeft == 0,
-					OnDone: func(r *viprip.Request) { settle(r.Err, r.Result.Broken) },
+					OnDone: func(r *viprip.Request) { settle(r.Err, r.Broken) },
 				})
 				return
 			}

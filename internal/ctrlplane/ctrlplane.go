@@ -180,10 +180,9 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// DeadLetter is one message whose retry cap was exhausted.
+// DeadLetter is one message whose retry cap was exhausted. The
+// EvRPCDeadLetter trace event carries its message id and endpoints.
 type DeadLetter struct {
-	ID       uint64
-	From, To Endpoint
 	Name     string
 	Attempts int
 	T        float64 // simulated time the cap was declared exhausted
@@ -217,10 +216,9 @@ type Bus struct {
 	applied     map[uint64]bool // idempotency keys of applied messages
 	partitioned map[Endpoint]bool
 
-	// OnPartition/OnHeal observe partition edges; the platform wires
-	// OnHeal to the pod managers' reconciliation.
-	OnPartition func(Endpoint)
-	OnHeal      func(Endpoint)
+	// OnHeal observes partition heals; the platform wires it to the pod
+	// managers' reconciliation.
+	OnHeal func(Endpoint)
 
 	// Counters (published as rpc.* metrics).
 	Sent        int64 // Calls issued
@@ -320,9 +318,6 @@ func (b *Bus) Partition(ep Endpoint) {
 	b.partitioned[ep] = true
 	b.Partitions++
 	b.tracer.Record(trace.EvPartition, 0, 0, epRef(ep))
-	if b.OnPartition != nil {
-		b.OnPartition(ep)
-	}
 }
 
 // Heal lifts ep's partition and fires OnHeal (reconciliation).
@@ -518,10 +513,7 @@ func (b *Bus) timeout(m *message) {
 	}
 	m.done = true
 	b.DeadLetters++
-	b.DeadLetterLog = append(b.DeadLetterLog, DeadLetter{
-		ID: m.id, From: m.from, To: m.to, Name: m.name,
-		Attempts: m.attempts, T: b.eng.Now(),
-	})
+	b.DeadLetterLog = append(b.DeadLetterLog, DeadLetter{Name: m.name, Attempts: m.attempts, T: b.eng.Now()})
 	b.tracer.RecordErr(trace.EvRPCDeadLetter, float64(m.id), float64(m.attempts), epRef(m.from), epRef(m.to))
 	if m.onDead != nil {
 		m.onDead()

@@ -9,7 +9,6 @@ import (
 
 // E11Row is one pod-asymmetry point of the two-layer comparison.
 type E11Row struct {
-	PodAsymmetry  float64 // pod1 capacity / pod0 capacity
 	OneLayerObj   float64
 	TwoLayerObj   float64
 	ConflictGap   float64
@@ -50,7 +49,6 @@ func RunE11(o Options) (*metrics.Table, *E11Result, error) {
 			return nil, nil, err
 		}
 		row := E11Row{
-			PodAsymmetry:  ratio,
 			OneLayerObj:   one.Objective,
 			TwoLayerObj:   two.Objective,
 			ConflictGap:   one.Objective - two.Objective,

@@ -27,17 +27,12 @@ type E12Result struct {
 // E12PolicyRow is one switch-selection policy's outcome.
 type E12PolicyRow struct {
 	Policy        string
-	VIPCountCoV   float64
 	ThroughputCoV float64
-	MaxSwitchUtil float64
 }
 
 // E12PodRow is one hierarchical switch-pod configuration.
 type E12PodRow struct {
-	SwitchPods    int
-	ScanPerAlloc  int // switches examined per allocation decision
-	ThroughputCoV float64
-	MaxSwitchUtil float64
+	ScanPerAlloc int // switches examined per allocation decision
 }
 
 // RunE12 (a) computes the size of the VIP allocation decision space the
@@ -79,9 +74,7 @@ func RunE12(o Options) (*metrics.Table, *E12Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res.Policies = append(res.Policies, E12PolicyRow{
-			Policy: pol.name, VIPCountCoV: vipCoV, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
-		})
+		res.Policies = append(res.Policies, E12PolicyRow{Policy: pol.name, ThroughputCoV: tputCoV})
 		tb.AddRow("policy "+pol.name, "-", vipCoV, tputCoV, maxU, nSwitches)
 	}
 	for _, pods := range []int{1, 4, 16} {
@@ -92,9 +85,7 @@ func RunE12(o Options) (*metrics.Table, *E12Result, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res.Pods = append(res.Pods, E12PodRow{
-			SwitchPods: pods, ScanPerAlloc: scans, ThroughputCoV: tputCoV, MaxSwitchUtil: maxU,
-		})
+		res.Pods = append(res.Pods, E12PodRow{ScanPerAlloc: scans})
 		tb.AddRow(fmt.Sprintf("switch pods G=%d (blend)", pods), "-", "-", tputCoV, maxU, scans)
 	}
 	return tb, res, nil

@@ -7,7 +7,6 @@ import (
 
 // E13Result records the single detailed policy-conflict scenario.
 type E13Result struct {
-	Scenario twolayer.ConflictScenario
 	OneLayer twolayer.ConflictResult
 	TwoLayer twolayer.ConflictResult
 }
@@ -35,5 +34,5 @@ func RunE13(o Options) (*metrics.Table, *E13Result, error) {
 		"architecture", "link split", "pod split", "max link util", "max pod util", "objective")
 	tb.AddRow(one.Arch, one.Split, one.PodSplit, one.MaxLinkUtil, one.MaxPodUtil, one.Objective)
 	tb.AddRow(two.Arch, two.Split, two.PodSplit, two.MaxLinkUtil, two.MaxPodUtil, two.Objective)
-	return tb, &E13Result{Scenario: sc, OneLayer: one, TwoLayer: two}, nil
+	return tb, &E13Result{OneLayer: one, TwoLayer: two}, nil
 }

@@ -11,14 +11,10 @@ import (
 // E2Row is one scalability measurement.
 type E2Row struct {
 	Servers        int
-	Apps           int
 	CentralizedSec float64 // monolithic controller wall time
 	CentralizedSat float64
 	HierMaxSec     float64 // slowest pod (ideal parallel lower bound)
-	HierSumSec     float64 // total work across pods
-	HierWallSec    float64 // measured wall time with pods solved concurrently
 	HierSat        float64
-	PodSize        int
 }
 
 // E2Result records the placement-scalability experiment.
@@ -68,10 +64,8 @@ func RunE2(o Options) (*metrics.Table, *E2Result, error) {
 		wallSec := parallelWall(prob, podSize)
 
 		row := E2Row{
-			Servers: n, Apps: apps,
-			CentralizedSec: centralSec, CentralizedSat: centralSat,
-			HierMaxSec: maxSec, HierSumSec: sumSec, HierWallSec: wallSec, HierSat: hierSat,
-			PodSize: podSize,
+			Servers: n, CentralizedSec: centralSec, CentralizedSat: centralSat,
+			HierMaxSec: maxSec, HierSat: hierSat,
 		}
 		res.Rows = append(res.Rows, row)
 		tb.AddRow(n, apps, centralSec, centralSat, podSize, maxSec, sumSec, wallSec, hierSat)

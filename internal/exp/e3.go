@@ -9,20 +9,16 @@ import (
 
 // E3Row is one pod-size measurement at fixed cluster size.
 type E3Row struct {
-	PodSize       int
-	Pods          int
-	MaxSec        float64 // slowest pod-manager decision (pods in parallel)
-	SumSec        float64
-	Satisfied     float64
-	SpeedupVsMono float64 // monolithic time / max pod time
+	PodSize   int
+	Pods      int
+	MaxSec    float64 // slowest pod-manager decision (pods in parallel)
+	Satisfied float64
 }
 
 // E3Result records the pod-sizing experiment.
 type E3Result struct {
-	ClusterServers int
-	MonolithicSec  float64
-	MonolithicSat  float64
-	Rows           []E3Row
+	MonolithicSec float64
+	Rows          []E3Row
 }
 
 // RunE3 fixes the cluster size and sweeps the pod size, measuring the
@@ -41,11 +37,9 @@ func RunE3(o Options) (*metrics.Table, *E3Result, error) {
 	// Load factor 0.85: tight enough that fragmentation shows.
 	prob := placement.Generate(apps, servers, 0.85, rng)
 
-	res := &E3Result{ClusterServers: servers}
+	res := &E3Result{}
 	// Monolithic reference.
-	monoMax, _, monoSat := hierarchicalPlace(prob, servers)
-	res.MonolithicSec = monoMax
-	res.MonolithicSat = monoSat
+	res.MonolithicSec, _, _ = hierarchicalPlace(prob, servers)
 
 	tb := metrics.NewTable("E3 — pod size vs decision time and quality (fixed cluster)",
 		"pod size", "pods", "max pod s", "sum s", "satisfied", "speedup vs monolithic")
@@ -57,8 +51,7 @@ func RunE3(o Options) (*metrics.Table, *E3Result, error) {
 		}
 		row := E3Row{
 			PodSize: ps, Pods: (servers + ps - 1) / ps,
-			MaxSec: maxSec, SumSec: sumSec, Satisfied: sat,
-			SpeedupVsMono: speedup,
+			MaxSec: maxSec, Satisfied: sat,
 		}
 		res.Rows = append(res.Rows, row)
 		tb.AddRow(ps, row.Pods, maxSec, sumSec, sat, speedup)

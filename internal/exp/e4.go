@@ -18,8 +18,7 @@ type E4Result struct {
 
 // E4SweepRow is one violator-fraction point.
 type E4SweepRow struct {
-	ViolatorFraction float64
-	ReliefSeconds    float64
+	ReliefSeconds float64
 }
 
 // RunE4 compares the paper's selective VIP exposure (knob A) against the
@@ -46,7 +45,7 @@ func RunE4(o Options) (*metrics.Table, *E4Result, error) {
 		c := cfg
 		c.ViolatorFraction = frac
 		r := baseline.RunSelectiveExposureTE(c)
-		res.ViolatorSweep = append(res.ViolatorSweep, E4SweepRow{ViolatorFraction: frac, ReliefSeconds: r.ReliefTime})
+		res.ViolatorSweep = append(res.ViolatorSweep, E4SweepRow{ReliefSeconds: r.ReliefTime})
 		// Sweep rows reuse the strategy column for the label.
 		tb.AddRow(fmt.Sprintf("selective @%g violators", frac),
 			r.ReliefTime, r.RouteUpdates, r.FinalHotUtil, r.FinalColdUtil)

@@ -11,7 +11,6 @@ import (
 
 // E6Row is one violator-fraction configuration of the drain experiment.
 type E6Row struct {
-	ViolatorFrac   float64
 	DrainSeconds   float64 // time from exposure-stop until zero active sessions; -1 if never within horizon
 	ResidualConns  int     // sessions still bound at the horizon (would be broken by a forced transfer)
 	SessionsServed int
@@ -71,7 +70,7 @@ func runDrain(seed int64, ttl, violatorFrac, arrivalRate, meanSession, horizon f
 	other.AddVIP("other", app)
 	other.AddRIP("other", "10.0.0.2", 1)
 
-	row := E6Row{ViolatorFrac: violatorFrac, DrainSeconds: -1}
+	row := E6Row{DrainSeconds: -1}
 	stopAt := 300.0 // exposure stops here
 	eng.At(stopAt, func() {
 		dns.SetWeight(app, "hot", 0)

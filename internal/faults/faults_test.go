@@ -2,19 +2,27 @@ package faults
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"megadc/internal/cluster"
 	"megadc/internal/core"
+	"megadc/internal/trace"
 )
 
 // churnPlatform builds a platform with a few onboarded apps, suitable
 // for injecting churn into.
 func churnPlatform(t *testing.T, seed int64) *core.Platform {
 	t.Helper()
+	return churnPlatformWith(t, seed, core.DefaultConfig())
+}
+
+// churnPlatformWith is churnPlatform with a platform configuration.
+func churnPlatformWith(t *testing.T, seed int64, cfg core.Config) *core.Platform {
+	t.Helper()
 	topo := core.SmallTopology()
 	topo.Seed = seed
-	p, err := core.NewPlatform(topo, core.DefaultConfig())
+	p, err := core.NewPlatform(topo, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,6 +107,57 @@ func TestInjectorDeterministic(t *testing.T) {
 	c := runChurn(t, 43)
 	if a == c {
 		t.Fatalf("different seeds produced identical runs: %+v", a)
+	}
+}
+
+// partitionRun is what one seeded partition-only run observed.
+type partitionRun struct {
+	partitions, heals, skipped, busDropped int64
+	fewestConnected                        int // reachable pods, right after each partition opened
+}
+
+// runPartitions drives the partition class alone, with a short MTBF,
+// over the platform's control bus, auditing every 10 ticks.
+func runPartitions(t *testing.T, seed int64) partitionRun {
+	t.Helper()
+	var p *core.Platform
+	out := partitionRun{fewestConnected: math.MaxInt}
+	rec := trace.NewRecorder(64)
+	rec.OnEvent = func(e *trace.Event) {
+		if e.Type == trace.EvPartition {
+			out.fewestConnected = min(out.fewestConnected, p.Ctrl().ConnectedPods(len(p.PodManagers())))
+		}
+	}
+	cfg := core.DefaultConfig()
+	cfg.Ctrl.Enable = true
+	cfg.AuditEvery = 10
+	cfg.Trace = rec
+	p = churnPlatformWith(t, seed, cfg)
+	inj := New(p, Config{Partition: Class{MTBF: 100, MTTR: 120}})
+	p.Start()
+	inj.Start(2000)
+	p.Eng.RunUntil(2000)
+	if err := p.AuditErr(); err != nil {
+		t.Fatalf("audit after partitions: %v", err)
+	}
+	out.partitions, out.heals, out.skipped = inj.PodPartitions, inj.PartitionHeals, inj.Skipped
+	out.busDropped = p.Ctrl().Dropped
+	return out
+}
+
+// TestPodPartitions checks the partition class: windows open and heal,
+// none leaves fewer than minConnectedPods pods reachable, the run
+// audits clean, and a second seeded run observes the same.
+func TestPodPartitions(t *testing.T) {
+	a := runPartitions(t, 29)
+	if a.partitions == 0 || a.heals == 0 {
+		t.Fatalf("no partition window opened and healed: %+v", a)
+	}
+	if a.fewestConnected < minConnectedPods {
+		t.Errorf("a partition left %d pods connected, floor %d", a.fewestConnected, minConnectedPods)
+	}
+	if b := runPartitions(t, 29); a != b {
+		t.Fatalf("same seed produced different runs:\n  a=%+v\n  b=%+v", a, b)
 	}
 }
 

@@ -155,10 +155,6 @@ type Switch struct {
 	// The platform uses it to mark the application dirty for incremental
 	// demand propagation.
 	OnReconfig func(vip VIP, app cluster.AppID)
-
-	// Req accumulates request-queue telemetry when a request engine is
-	// attached (see reqstats.go). Zero-valued and untouched otherwise.
-	Req ReqStats
 }
 
 // Serving reports whether the switch is healthy enough to forward

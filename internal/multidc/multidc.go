@@ -28,13 +28,11 @@ type DC struct {
 type FedAppID int
 
 type fedApp struct {
-	name   string
 	demand core.Demand
 	// locals maps DC id → the app's local ID in that DC.
 	locals map[int]cluster.AppID
 	// shares maps DC id → fraction of the app's demand steered there.
 	shares map[int]float64
-	slice  cluster.Resources
 }
 
 // hotUtil / coldUtil are the steering thresholds: demand share moves
@@ -97,10 +95,8 @@ func (f *Federation) OnboardApp(name string, slice cluster.Resources, instancesP
 		return 0, fmt.Errorf("multidc: federation has no data centers")
 	}
 	fa := &fedApp{
-		name:   name,
 		locals: make(map[int]cluster.AppID),
 		shares: make(map[int]float64),
-		slice:  slice,
 	}
 	for _, dc := range dcs {
 		a, err := dc.P.OnboardApp(name, slice, instancesPerDC, core.Demand{})

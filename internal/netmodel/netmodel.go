@@ -141,19 +141,12 @@ type Network struct {
 	RouteUpdates int64
 
 	vipTraffic map[VIPAddr]float64
-	applied    map[VIPAddr]appliedLoad
+	applied    map[VIPAddr][]LinkID // the links each VIP's traffic was last spread over
 
 	// OnRouteChange, when set, is called after any advertisement change
 	// for a VIP (advertise, withdraw, padding flip). The platform uses it
 	// to mark the VIP's owner dirty for incremental demand propagation.
 	OnRouteChange func(vip VIPAddr)
-}
-
-// appliedLoad remembers how a VIP's traffic was last spread over links,
-// so redistribute can subtract it exactly before reapplying.
-type appliedLoad struct {
-	links []LinkID
-	share float64
 }
 
 // Errors returned by network operations.
@@ -171,7 +164,7 @@ func New() *Network {
 		links:      make(map[LinkID]*Link),
 		ads:        make(map[VIPAddr][]advertisement),
 		vipTraffic: make(map[VIPAddr]float64),
-		applied:    make(map[VIPAddr]appliedLoad),
+		applied:    make(map[VIPAddr][]LinkID),
 	}
 }
 
@@ -335,12 +328,12 @@ func (n *Network) VIPTraffic(vip VIPAddr) float64 { return n.vipTraffic[vip] }
 // traffic updates do not allocate.
 func (n *Network) redistribute(vip VIPAddr) {
 	prev := n.applied[vip]
-	for _, id := range prev.links {
+	for _, id := range prev {
 		if l := n.links[id]; l != nil {
 			l.clearShare(vip)
 		}
 	}
-	links := prev.links[:0]
+	links := prev[:0]
 	for _, ad := range n.ads[vip] {
 		if !ad.padded {
 			links = append(links, ad.link)
@@ -352,7 +345,7 @@ func (n *Network) redistribute(vip VIPAddr) {
 		if cap(links) == 0 {
 			delete(n.applied, vip)
 		} else {
-			n.applied[vip] = appliedLoad{links: links}
+			n.applied[vip] = links
 		}
 		return
 	}
@@ -360,7 +353,7 @@ func (n *Network) redistribute(vip VIPAddr) {
 	for _, id := range links {
 		n.links[id].setShare(vip, share)
 	}
-	n.applied[vip] = appliedLoad{links: links, share: share}
+	n.applied[vip] = links
 }
 
 // LinkLoads returns per-link load in creation order.

@@ -382,7 +382,6 @@ func (e *Engine) arrive() {
 	if !q.sw.Serving() || q.n >= len(q.buf) {
 		e.stats.Dropped++
 		e.cDropped.Inc()
-		q.sw.NoteReqDropped()
 		return
 	}
 	r := e.pool.Get()
@@ -390,7 +389,6 @@ func (e *Engine) arrive() {
 	q.buf[(q.head+q.n)%len(q.buf)] = r
 	q.n++
 	e.stats.Enqueued++
-	q.sw.NoteReqEnqueued()
 	if !q.busy && q.mu > 0 {
 		e.startService(q)
 	}
@@ -422,7 +420,6 @@ func (r *request) complete() {
 	e.latAll.Observe(lat)
 	e.stats.Served++
 	e.cServed.Inc()
-	q.sw.NoteReqServed()
 	q.buf[q.head] = nil
 	q.head = (q.head + 1) % len(q.buf)
 	q.n--

@@ -138,22 +138,6 @@ func TestRequestsServeAndRecordLatency(t *testing.T) {
 	if h0.Count() <= h3.Count() {
 		t.Errorf("zipf rank-0 app served %d <= rank-3 app %d", h0.Count(), h3.Count())
 	}
-
-	// Switch-side telemetry agrees with the engine and satisfies the
-	// conservation invariant.
-	var swServed, swDropped int64
-	for i := 0; i < p.Fabric.NumSwitches(); i++ {
-		sw := p.Fabric.Switch(lbswitch.SwitchID(i))
-		if err := sw.CheckReqInvariants(); err != nil {
-			t.Error(err)
-		}
-		swServed += sw.Req.Served
-		swDropped += sw.Req.Dropped
-	}
-	if swServed != st.Served || swDropped != st.Dropped {
-		t.Errorf("switch counters (served %d, dropped %d) != engine (%d, %d)",
-			swServed, swDropped, st.Served, st.Dropped)
-	}
 }
 
 // TestBoundedQueueDrops saturates tiny queues: offered load far above

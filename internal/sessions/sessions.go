@@ -57,7 +57,6 @@ type Stats struct {
 }
 
 type appDriver struct {
-	app     cluster.AppID
 	pop     *dnsctl.ClientPopulation
 	profile workload.Profile
 	stats   Stats
@@ -125,7 +124,7 @@ func (d *Driver) AddApp(app cluster.AppID, profile workload.Profile) error {
 	if err != nil {
 		return err
 	}
-	ad := &appDriver{app: app, pop: pop, profile: profile}
+	ad := &appDriver{pop: pop, profile: profile}
 	d.apps[app] = ad
 	d.scheduleNext(ad)
 	return nil

@@ -24,10 +24,10 @@
 package spans
 
 import (
+	"megadc/internal/causal"
 	"megadc/internal/health"
 	"megadc/internal/metrics"
 	"megadc/internal/trace"
-	"megadc/internal/viprip"
 )
 
 // compKey identifies a failure-domain component across events.
@@ -82,19 +82,6 @@ func New(reg *metrics.Registry) *Tracker {
 // Registry returns the registry the tracker records into.
 func (s *Tracker) Registry() *metrics.Registry { return s.reg }
 
-// priorityClass maps a viprip priority to its histogram label.
-func priorityClass(p viprip.Priority) string {
-	switch p {
-	case viprip.PriorityLow:
-		return "low"
-	case viprip.PriorityNormal:
-		return "normal"
-	case viprip.PriorityHigh:
-		return "high"
-	}
-	return "unknown"
-}
-
 // kindClass maps a component ref kind to its histogram label, or ""
 // for kinds outside the failure domains.
 func kindClass(k trace.Kind) string {
@@ -122,7 +109,7 @@ func (s *Tracker) Handle(e *trace.Event) {
 		seq := int64(e.B)
 		if t0, ok := s.reqSubmitT[seq]; ok {
 			delete(s.reqSubmitT, seq)
-			s.hist("viprip.queue_wait." + priorityClass(viprip.Priority(e.A))).Observe(e.T - t0)
+			s.hist("viprip.queue_wait." + causal.PriorityName(int(e.A))).Observe(e.T - t0)
 			s.reqProcT[seq] = e.T
 		}
 
@@ -130,7 +117,7 @@ func (s *Tracker) Handle(e *trace.Event) {
 		seq := int64(e.B)
 		if t0, ok := s.reqProcT[seq]; ok {
 			delete(s.reqProcT, seq)
-			s.hist("viprip.service_time." + priorityClass(viprip.Priority(e.A))).Observe(e.T - t0)
+			s.hist("viprip.service_time." + causal.PriorityName(int(e.A))).Observe(e.T - t0)
 		}
 
 	case trace.EvReqRequeue:

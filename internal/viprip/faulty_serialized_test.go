@@ -5,48 +5,7 @@ import (
 	"testing"
 
 	"megadc/internal/health"
-	"megadc/internal/lbswitch"
-	"megadc/internal/sim"
 )
-
-// setupTwoSwitchVIPs builds a serialized manager with one VIP (plus a
-// RIP, so weight adjustments have something to adjust) on each of the
-// two switches.
-func setupTwoSwitchVIPs(t *testing.T) (m *Manager, eng *sim.Engine, vips [2]lbswitch.VIP) {
-	t.Helper()
-	f := lbswitch.NewFabric()
-	f.AddSwitch(lbswitch.CatalystCSM())
-	f.AddSwitch(lbswitch.CatalystCSM())
-	vp, err := NewIPPool("100.64.0.0", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp, err := NewIPPool("10.0.0.0", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m = NewManager(f, vp, rp, LeastVIPs)
-	for i := 0; i < 2; i++ {
-		vip, home, err := m.AddVIP(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if home != lbswitch.SwitchID(i) {
-			t.Fatalf("vip %d homed on switch %d, want %d (LeastVIPs alternates)", i, home, i)
-		}
-		rip, err := m.AllocRIP()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := m.AddRIP(1, rip, 1, vip); err != nil {
-			t.Fatal(err)
-		}
-		vips[i] = vip
-	}
-	eng = sim.New(1)
-	m.StartSerialized(eng, 3)
-	return m, eng, vips
-}
 
 // A request in service when its switch fails must not vanish: it is
 // resubmitted with a fresh seq, so it rejoins the queue BEHIND work of
@@ -54,7 +13,7 @@ func setupTwoSwitchVIPs(t *testing.T) (m *Manager, eng *sim.Engine, vips [2]lbsw
 // what requestOrder (priority desc, then seq asc) prescribes — and
 // completes once the switch repairs.
 func TestSerializedMidFlightFailureResubmitsInOrder(t *testing.T) {
-	m, eng, vips := setupTwoSwitchVIPs(t)
+	m, eng, vips := newSerializedManager(t)
 	f := m.Fabric()
 
 	var order []string
@@ -108,7 +67,7 @@ func TestSerializedMidFlightFailureResubmitsInOrder(t *testing.T) {
 // When the switch stays down, the request surfaces the typed error after
 // maxRequeues resubmissions instead of disappearing or spinning forever.
 func TestSerializedMidFlightFailureTypedError(t *testing.T) {
-	m, eng, vips := setupTwoSwitchVIPs(t)
+	m, eng, vips := newSerializedManager(t)
 	f := m.Fabric()
 
 	var got *Request
@@ -138,7 +97,7 @@ func TestSerializedMidFlightFailureTypedError(t *testing.T) {
 
 // A transfer whose DESTINATION switch fails mid-flight is also caught.
 func TestSerializedMidFlightDstFailure(t *testing.T) {
-	m, eng, vips := setupTwoSwitchVIPs(t)
+	m, eng, vips := newSerializedManager(t)
 	f := m.Fabric()
 
 	var got *Request

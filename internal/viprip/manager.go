@@ -125,21 +125,19 @@ type Manager struct {
 func (m *Manager) SetTracer(r *trace.Recorder) { m.tracer = r }
 
 // Request is one queued (re)configuration request for the serialized
-// pipeline (StartSerialized). Submit enqueues it; Result and Err are
+// pipeline (StartSerialized). Submit enqueues it; Broken and Err are
 // filled when its service time elapses.
 type Request struct {
 	Op       Op
 	App      cluster.AppID
 	Priority Priority
-	VIP      lbswitch.VIP      // DelVIP/AdjustWeights/TransferVIP: which VIP; AddRIP: optional preferred VIP
-	RIP      lbswitch.RIP      // AddRIP/DelRIP
-	Weight   float64           // AddRIP
+	VIP      lbswitch.VIP      // the VIP to reweight or transfer
 	Weights  []float64         // AdjustWeights
 	Dst      lbswitch.SwitchID // TransferVIP
 	Force    bool              // TransferVIP
 
 	// OnDone, when non-nil, runs after the request has been applied
-	// (with Result and Err filled). This is how callers continue a
+	// (with Broken and Err filled). This is how callers continue a
 	// protocol across the asynchronous completion (e.g. the drain's
 	// retry ladder).
 	OnDone func(*Request)
@@ -153,31 +151,26 @@ type Request struct {
 	Cause uint64
 
 	seq      int64
-	requeues int // resubmissions after a mid-flight switch failure
-	Result   Result
+	requeues int   // resubmissions after a mid-flight switch failure
+	Broken   int64 // TransferVIP: connections broken by a forced transfer
 	Err      error
 	Done     bool
 }
 
-// Op is the request operation type.
+// Op is the request operation type. Only the global manager's weight
+// shifts and drain transfers go through the queue; VIP and RIP adds and
+// removes (AddVIP, AddRIP, DelRIP) are applied directly.
 type Op int
 
 // Request operations.
 const (
-	OpAddVIP Op = iota
-	OpDelVIP
-	OpAddRIP
-	OpDelRIP
-	OpAdjustWeights
+	// OpAdjustWeights sets the VIP's RIP weights (knob F, inter-pod
+	// weight shifts).
+	OpAdjustWeights Op = iota
+	// OpTransferVIP moves the VIP to switch Dst (knob B, drain
+	// transfers).
 	OpTransferVIP
 )
-
-// Result carries the outcome of a processed request.
-type Result struct {
-	VIP    lbswitch.VIP
-	Switch lbswitch.SwitchID
-	Broken int64 // TransferVIP: connections broken by a forced transfer
-}
 
 // NewManager creates a manager over the fabric with the given IP pools
 // and switch-scoring policy.
@@ -335,34 +328,16 @@ func (m *Manager) complete(r *Request) {
 	}
 }
 
-// switchFailedMidFlight reports whether the serialized request's target
-// switch stopped serving while the request occupied the pipeline. Only
-// operations bound to a specific configured switch are affected;
-// placement ops (AddVIP, unpreferred AddRIP) pick their switch at apply
-// time, and a VIP that lost its home entirely surfaces the normal
-// ErrVIPUnknown from apply instead.
+// switchFailedMidFlight reports whether the serialized request's VIP's
+// home switch, or a transfer's destination, stopped serving while the
+// request occupied the pipeline. A VIP that lost its home entirely
+// surfaces the normal ErrVIPUnknown from apply instead.
 func (m *Manager) switchFailedMidFlight(r *Request) bool {
-	down := func(vip lbswitch.VIP) bool {
-		home, ok := m.fabric.HomeOf(vip)
-		if !ok {
-			return false
-		}
-		sw := m.fabric.Switch(home)
-		return sw != nil && !sw.Serving()
+	down := func(sw *lbswitch.Switch) bool { return sw != nil && !sw.Serving() }
+	if home, ok := m.fabric.HomeOf(r.VIP); ok && down(m.fabric.Switch(home)) {
+		return true
 	}
-	switch r.Op {
-	case OpDelVIP, OpAdjustWeights:
-		return down(r.VIP)
-	case OpTransferVIP:
-		if down(r.VIP) {
-			return true
-		}
-		dst := m.fabric.Switch(r.Dst)
-		return dst != nil && !dst.Serving()
-	case OpAddRIP:
-		return r.VIP != "" && down(r.VIP)
-	}
-	return false
+	return r.Op == OpTransferVIP && down(m.fabric.Switch(r.Dst))
 }
 
 // requestOrder is the paper's serialization contract: strictly higher
@@ -381,23 +356,12 @@ func requestOrder(a, b *Request) int {
 // when the pipeline finishes, serviceTime after processing began.
 func (m *Manager) apply(r *Request) {
 	switch r.Op {
-	case OpAddVIP:
-		r.Result.VIP, r.Result.Switch, r.Err = m.AddVIP(r.App)
-	case OpDelVIP:
-		r.Err = m.DelVIP(r.VIP)
-	case OpAddRIP:
-		r.Result.VIP, r.Result.Switch, r.Err = m.AddRIP(r.App, r.RIP, r.Weight, r.VIP)
-	case OpDelRIP:
-		r.Err = m.DelRIP(r.App, r.RIP)
 	case OpAdjustWeights:
 		r.Err = m.AdjustWeights(r.VIP, r.Weights)
 	case OpTransferVIP:
 		before := m.fabric.BrokenConns
 		r.Err = m.fabric.TransferVIP(r.VIP, r.Dst, r.Force)
-		r.Result.Broken = m.fabric.BrokenConns - before
-		if r.Err == nil {
-			r.Result.VIP, r.Result.Switch = r.VIP, r.Dst
-		}
+		r.Broken = m.fabric.BrokenConns - before
 	default:
 		r.Err = fmt.Errorf("viprip: unknown op %d", r.Op)
 	}
@@ -407,29 +371,17 @@ func (m *Manager) apply(r *Request) {
 }
 
 // traceReq records one request-lifecycle transition. The refs name the
-// app plus whichever addresses the request carries (the result VIP once
-// processing assigned one); A/B carry priority and submission seq so a
-// timeline shows why the queue ordered the requests the way it did.
+// app and the VIP; A/B carry priority and submission seq so a timeline
+// shows why the queue ordered the requests the way it did.
 func (m *Manager) traceReq(t trace.Type, r *Request) {
 	if m.tracer == nil {
 		return
 	}
-	vip := r.VIP
-	if vip == "" {
-		vip = r.Result.VIP
-	}
-	var vipRef, ripRef trace.Ref
-	if vip != "" {
-		vipRef = trace.VIP(vip)
-	}
-	if r.RIP != "" {
-		ripRef = trace.RIP(r.RIP)
-	}
 	if r.Err != nil {
-		m.tracer.RecordErr(t, float64(r.Priority), float64(r.seq), trace.App(r.App), vipRef, ripRef)
+		m.tracer.RecordErr(t, float64(r.Priority), float64(r.seq), trace.App(r.App), trace.VIP(r.VIP))
 		return
 	}
-	m.tracer.Record(t, float64(r.Priority), float64(r.seq), trace.App(r.App), vipRef, ripRef)
+	m.tracer.Record(t, float64(r.Priority), float64(r.seq), trace.App(r.App), trace.VIP(r.VIP))
 }
 
 // AddVIP allocates an unused address, selects an underloaded switch per
@@ -509,17 +461,6 @@ func (m *Manager) AddVIPOn(app cluster.AppID, sw lbswitch.SwitchID) (lbswitch.VI
 	}
 	m.tracer.Record(trace.EvAddVIP, 0, 0, trace.App(app), trace.VIP(vip), trace.SwitchRef(sw))
 	return vip, nil
-}
-
-// DelVIP removes a VIP (handled "in a straightforward way" per the
-// paper) and returns its address to the pool. Active connections are
-// broken; deletion is the caller's decision.
-func (m *Manager) DelVIP(vip lbswitch.VIP) error {
-	if err := m.fabric.DropVIP(vip, true); err != nil {
-		return err
-	}
-	m.tracer.Record(trace.EvDelVIP, 0, 0, trace.VIP(vip))
-	return m.vipPool.Free(string(vip))
 }
 
 // AddRIP configures rip with the given weight on a switch hosting one of

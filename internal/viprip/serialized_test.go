@@ -7,12 +7,14 @@ import (
 	"megadc/internal/sim"
 )
 
-func newSerializedManager(t *testing.T) (*Manager, *sim.Engine) {
+// newSerializedManager builds a serialized manager (3 s service time)
+// with one VIP of app 1, plus a RIP of weight 1 so weight adjustments
+// have something to adjust, on each of its two switches.
+func newSerializedManager(t *testing.T) (m *Manager, eng *sim.Engine, vips [2]lbswitch.VIP) {
 	t.Helper()
 	f := lbswitch.NewFabric()
-	for i := 0; i < 2; i++ {
-		f.AddSwitch(lbswitch.CatalystCSM())
-	}
+	f.AddSwitch(lbswitch.CatalystCSM())
+	f.AddSwitch(lbswitch.CatalystCSM())
 	vp, err := NewIPPool("100.64.0.0", 256)
 	if err != nil {
 		t.Fatal(err)
@@ -21,28 +23,43 @@ func newSerializedManager(t *testing.T) (*Manager, *sim.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := NewManager(f, vp, rp, LeastVIPs)
-	eng := sim.New(1)
+	m = NewManager(f, vp, rp, LeastVIPs)
+	for i := range vips {
+		vips[i] = placeVIP(t, m, 1)
+		if home, _ := f.HomeOf(vips[i]); home != lbswitch.SwitchID(i) {
+			t.Fatalf("vip %d homed on switch %d, want %d (LeastVIPs alternates)", i, home, i)
+		}
+	}
+	eng = sim.New(1)
 	m.StartSerialized(eng, 3)
-	return m, eng
+	return m, eng, vips
+}
+
+// reweight is a request that sets vip's single RIP weight to 1 again:
+// an AdjustWeights that queues and completes like any other but leaves
+// the fabric unchanged.
+func reweight(vip lbswitch.VIP, p Priority) *Request {
+	return &Request{Op: OpAdjustWeights, App: 1, Priority: p, VIP: vip, Weights: []float64{1}}
 }
 
 // Serialized processing: one request at a time, each occupying the
 // pipeline for serviceTime, highest priority first regardless of
 // submission order.
 func TestSerializedPriorityAndTiming(t *testing.T) {
-	m, eng := newSerializedManager(t)
+	m, eng, vips := newSerializedManager(t)
 
 	var doneAt []float64
 	var doneOrder []Priority
 	mk := func(p Priority) *Request {
-		return &Request{Op: OpAddVIP, App: 1, Priority: p, OnDone: func(r *Request) {
+		r := reweight(vips[0], p)
+		r.OnDone = func(r *Request) {
 			if r.Err != nil {
 				t.Errorf("request failed: %v", r.Err)
 			}
 			doneAt = append(doneAt, eng.Now())
 			doneOrder = append(doneOrder, r.Priority)
-		}}
+		}
+		return r
 	}
 	// Three requests submitted at t=0; low first, to prove reordering.
 	eng.At(0, func() {
@@ -73,12 +90,13 @@ func TestSerializedPriorityAndTiming(t *testing.T) {
 // A burst while the pipeline is busy accumulates queue wait: the Nth
 // same-priority request waits (N-1)×serviceTime.
 func TestSerializedQueueWaitAccumulates(t *testing.T) {
-	m, eng := newSerializedManager(t)
+	m, eng, vips := newSerializedManager(t)
 	var completions []float64
 	eng.At(10, func() {
 		for i := 0; i < 4; i++ {
-			m.Submit(&Request{Op: OpAddVIP, App: 2, Priority: PriorityNormal,
-				OnDone: func(r *Request) { completions = append(completions, eng.Now()) }})
+			r := reweight(vips[1], PriorityNormal)
+			r.OnDone = func(r *Request) { completions = append(completions, eng.Now()) }
+			m.Submit(r)
 		}
 	})
 	eng.RunUntil(100)
@@ -96,18 +114,20 @@ func TestSerializedQueueWaitAccumulates(t *testing.T) {
 // OnDone submitting a follow-up request must not double-occupy the
 // pipeline.
 func TestSerializedOnDoneResubmit(t *testing.T) {
-	m, eng := newSerializedManager(t)
+	m, eng, vips := newSerializedManager(t)
 	var finished float64
 	eng.At(0, func() {
-		m.Submit(&Request{Op: OpAddVIP, App: 3, Priority: PriorityNormal, OnDone: func(r *Request) {
-			m.Submit(&Request{Op: OpAddRIP, App: 3, RIP: "10.9.9.9", Weight: 1, VIP: r.Result.VIP,
+		r := reweight(vips[0], PriorityNormal)
+		r.OnDone = func(r *Request) {
+			m.Submit(&Request{Op: OpTransferVIP, App: 1, VIP: r.VIP, Dst: 1,
 				OnDone: func(r2 *Request) {
 					if r2.Err != nil {
 						t.Errorf("follow-up failed: %v", r2.Err)
 					}
 					finished = eng.Now()
 				}})
-		}})
+		}
+		m.Submit(r)
 	})
 	eng.RunUntil(100)
 	if finished != 6 {
@@ -127,24 +147,18 @@ func TestSubmitBeforeStartSerializedPanics(t *testing.T) {
 			t.Fatal("Submit before StartSerialized must panic")
 		}
 	}()
-	m.Submit(&Request{Op: OpAddVIP, App: 1})
+	m.Submit(&Request{Op: OpAdjustWeights, App: 1})
 }
 
 // The weight-adjustment and transfer ops work through the pump.
 func TestBatchAdjustWeightsAndTransfer(t *testing.T) {
-	m, eng := newSerializedManager(t)
+	m, eng, vips := newSerializedManager(t)
 	f := m.Fabric()
-	vip, home, err := m.AddVIP(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := m.AddRIP(7, "10.0.0.1", 2, vip); err != nil {
-		t.Fatal(err)
-	}
+	vip, home := vips[0], lbswitch.SwitchID(0)
 	var out completions
 	out.submit(m,
-		&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityNormal, VIP: vip, Weights: []float64{2}},
-		&Request{Op: OpTransferVIP, App: 7, Priority: PriorityHigh, VIP: vip, Dst: 1 - home})
+		&Request{Op: OpAdjustWeights, App: 1, Priority: PriorityNormal, VIP: vip, Weights: []float64{1}},
+		&Request{Op: OpTransferVIP, App: 1, Priority: PriorityHigh, VIP: vip, Dst: 1 - home})
 	eng.Run()
 	if len(out) != 2 {
 		t.Fatalf("processed %d", len(out))

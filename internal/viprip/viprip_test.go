@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"megadc/internal/cluster"
 	"megadc/internal/lbswitch"
 	"megadc/internal/policy"
 	"megadc/internal/sim"
@@ -134,17 +135,36 @@ func newTestManager(t *testing.T, nSwitches int, policy Policy) *Manager {
 	return NewManager(fab, vp, rp, policy)
 }
 
-// newQueuedManager returns a serialized manager (1 s service time) whose
-// pipeline is already busy with an unrelated request (app 99), so the
-// requests a test submits next wait in the queue together and
-// requestOrder alone decides the order they complete in.
-func newQueuedManager(t *testing.T, nSwitches int) (*Manager, *sim.Engine) {
+// newQueuedManager returns a serialized manager (1 s service time) with
+// one VIP carrying one RIP of weight 1, whose pipeline is already busy
+// with an unrelated request (app 99), so the requests a test submits
+// next wait in the queue together and requestOrder alone decides the
+// order they complete in.
+func newQueuedManager(t *testing.T, nSwitches int) (*Manager, *sim.Engine, lbswitch.VIP) {
 	t.Helper()
 	m := newTestManager(t, nSwitches, LeastVIPs)
+	vip := placeVIP(t, m, 1)
 	eng := sim.New(1)
 	m.StartSerialized(eng, 1)
-	m.Submit(&Request{Op: OpAddVIP, App: 99})
-	return m, eng
+	m.Submit(&Request{Op: OpAdjustWeights, App: 99, VIP: vip, Weights: []float64{1}})
+	return m, eng, vip
+}
+
+// placeVIP adds a VIP of app with one RIP of weight 1.
+func placeVIP(t *testing.T, m *Manager, app cluster.AppID) lbswitch.VIP {
+	t.Helper()
+	vip, _, err := m.AddVIP(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rip, err := m.AllocRIP()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.AddRIP(app, rip, 1, vip); err != nil {
+		t.Fatal(err)
+	}
+	return vip
 }
 
 // completions records requests in the order the pipeline finishes them.
@@ -205,27 +225,6 @@ func TestAddVIPExhaustion(t *testing.T) {
 	}
 	if _, _, err := m.AddVIP(1); !errors.Is(err, ErrNoSwitch) {
 		t.Errorf("err = %v, want ErrNoSwitch", err)
-	}
-}
-
-func TestDelVIPRecyclesAddress(t *testing.T) {
-	m := newTestManager(t, 1, LeastVIPs)
-	vip, _, err := m.AddVIP(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.DelVIP(vip); err != nil {
-		t.Fatal(err)
-	}
-	vip2, _, err := m.AddVIP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vip2 != vip {
-		t.Errorf("address not recycled: %s vs %s", vip2, vip)
-	}
-	if err := m.DelVIP("203.0.113.9"); err == nil {
-		t.Error("deleting unknown VIP accepted")
 	}
 }
 
@@ -320,10 +319,10 @@ func TestAdjustWeightsPreservesTotal(t *testing.T) {
 }
 
 func TestQueuePriorityOrder(t *testing.T) {
-	m, eng := newQueuedManager(t, 3)
-	low := &Request{Op: OpAddVIP, App: 1, Priority: PriorityLow}
-	high := &Request{Op: OpAddVIP, App: 2, Priority: PriorityHigh}
-	norm := &Request{Op: OpAddVIP, App: 3, Priority: PriorityNormal}
+	m, eng, vip := newQueuedManager(t, 3)
+	low := reweight(vip, PriorityLow)
+	high := reweight(vip, PriorityHigh)
+	norm := reweight(vip, PriorityNormal)
 	var done completions
 	done.submit(m, low, high, norm)
 	if m.Pending() != 4 { // three queued behind the one in service
@@ -337,9 +336,6 @@ func TestQueuePriorityOrder(t *testing.T) {
 		if !r.Done || r.Err != nil {
 			t.Errorf("request %+v not done cleanly", r)
 		}
-		if r.Result.VIP == "" {
-			t.Error("no VIP in result")
-		}
 	}
 	if m.Pending() != 0 || m.Processed != 4 {
 		t.Errorf("Pending/Processed = %d/%d", m.Pending(), m.Processed)
@@ -347,10 +343,10 @@ func TestQueuePriorityOrder(t *testing.T) {
 }
 
 func TestQueueFIFOWithinPriority(t *testing.T) {
-	m, eng := newQueuedManager(t, 3)
+	m, eng, vip := newQueuedManager(t, 3)
 	var reqs []*Request
 	for i := 0; i < 5; i++ {
-		reqs = append(reqs, &Request{Op: OpAddVIP, App: 1, Priority: PriorityNormal})
+		reqs = append(reqs, reweight(vip, PriorityNormal))
 	}
 	var done completions
 	done.submit(m, reqs...)
@@ -365,25 +361,44 @@ func TestQueueFIFOWithinPriority(t *testing.T) {
 	}
 }
 
+// Both queued ops take effect when they complete: the weight shift
+// lands, and a forced transfer moves the VIP and reports the
+// connections it broke.
 func TestQueueOps(t *testing.T) {
-	m, eng := newQueuedManager(t, 1)
-	add := &Request{Op: OpAddVIP, App: 1}
-	m.Submit(add)
-	eng.Run()
-	rip, _ := m.AllocRIP()
+	m, eng, _ := newQueuedManager(t, 2)
+	f := m.Fabric()
+	vip, home, _ := m.AddVIP(1)
+	r1, _ := m.AllocRIP()
+	r2, _ := m.AllocRIP()
+	m.AddRIP(1, r1, 1, vip)
+	m.AddRIP(1, r2, 3, vip)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2; i++ {
+		if _, _, err := f.Switch(home).OpenConn(vip, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var done completions
 	done.submit(m,
-		&Request{Op: OpAddRIP, App: 1, RIP: rip, Weight: 1},
-		&Request{Op: OpDelRIP, App: 1, RIP: rip},
-		&Request{Op: OpDelVIP, VIP: add.Result.VIP})
+		&Request{Op: OpAdjustWeights, App: 1, VIP: vip, Weights: []float64{2, 2}},
+		&Request{Op: OpTransferVIP, App: 1, VIP: vip, Dst: 1 - home, Force: true})
 	eng.Run()
-	if len(done) != 3 {
-		t.Fatalf("completed %d of 3", len(done))
+	if len(done) != 2 {
+		t.Fatalf("completed %d of 2", len(done))
 	}
 	for _, r := range done {
 		if r.Err != nil {
 			t.Errorf("op %d err: %v", r.Op, r.Err)
 		}
+	}
+	if done[1].Broken != 2 {
+		t.Errorf("forced transfer broke %d connections, want 2", done[1].Broken)
+	}
+	if h, _ := f.HomeOf(vip); h != 1-home {
+		t.Errorf("VIP home = %d, want %d", h, 1-home)
+	}
+	if _, ws, _ := f.Switch(1 - home).Weights(vip); len(ws) != 2 || ws[0] != 2 || ws[1] != 2 {
+		t.Errorf("weights after transfer = %v, want [2 2]", ws)
 	}
 	bad := &Request{Op: Op(99)}
 	m.Submit(bad)
@@ -457,7 +472,7 @@ func TestPropertyManagerRespectsLimits(t *testing.T) {
 // equal-priority requests once the queue grew past the small-slice
 // threshold; requestOrder's seq tiebreak makes the order total.)
 func TestQueueInterleavedExactOrder(t *testing.T) {
-	m, eng := newQueuedManager(t, 8)
+	m, eng, vip := newQueuedManager(t, 8)
 	prios := []Priority{
 		PriorityNormal, PriorityHigh, PriorityLow, PriorityNormal,
 		PriorityHigh, PriorityLow, PriorityNormal, PriorityHigh,
@@ -465,7 +480,7 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 	}
 	reqs := make([]*Request, len(prios))
 	for i, p := range prios {
-		reqs[i] = &Request{Op: OpAddVIP, App: 1, Priority: p}
+		reqs[i] = reweight(vip, p)
 	}
 	var done completions
 	done.submit(m, reqs...)
@@ -493,20 +508,21 @@ func TestQueueInterleavedExactOrder(t *testing.T) {
 // TestQueueTraceTransitions asserts a traced request leaves the
 // queue→process→done event sequence in the flight recorder.
 func TestQueueTraceTransitions(t *testing.T) {
-	m, eng := newQueuedManager(t, 2)
+	m, eng, _ := newQueuedManager(t, 2)
+	vip := placeVIP(t, m, 7)
 	rec := trace.NewRecorder(64)
 	m.SetTracer(rec)
-	r := &Request{Op: OpAddVIP, App: 7, Priority: PriorityHigh}
-	m.Submit(r)
+	m.Submit(&Request{Op: OpAdjustWeights, App: 7, Priority: PriorityHigh, VIP: vip, Weights: []float64{1}})
 	eng.Run()
 	var types []trace.Type
 	for _, ev := range rec.Events() {
-		if ev.Touches(trace.App(7)) {
+		if ev.Touches(trace.VIP(vip)) {
 			types = append(types, ev.Type)
 		}
 	}
-	// The AddVIP effect event nests inside the process→done bracket.
-	want := []trace.Type{trace.EvReqSubmit, trace.EvReqProcess, trace.EvAddVIP, trace.EvReqDone}
+	// The weight-adjustment effect event nests inside the process→done
+	// bracket.
+	want := []trace.Type{trace.EvReqSubmit, trace.EvReqProcess, trace.EvAdjustWeights, trace.EvReqDone}
 	if len(types) != len(want) {
 		t.Fatalf("event types = %v, want %v", types, want)
 	}

@@ -1,20 +1,35 @@
-// Command deadcode lists exported declarations under internal/ that
-// nothing outside their own package's tests references: package-level
-// functions, types, variables and constants, and exported methods.
-// Every package of the module is type-checked with its tests, and so is
-// every nested module (layerbench). A use from a _test.go file in the
-// declaration's own directory does not count, so an API kept alive only
-// by its own unit tests is reported; uses from other packages' tests
-// (root benchmarks, oracles another package's tests call) and from
-// nested modules do count. The type named in a method's receiver is not
-// used by that method, so a type kept only by its own methods is
-// reported. A method is skipped when its type has every
-// method of some interface in the type-checked program that includes
-// it (String, Len/Less/Swap, the policy interfaces, ...), because
-// interface dispatch uses such methods without naming them.
+// Command deadcode lists declarations under internal/ that nothing
+// outside their own package's tests uses. Every package of the module is
+// type-checked with its tests, and so is every nested module
+// (layerbench). It applies three rules.
 //
-// It prints one "file:line: pkg.Name" line per finding and exits 1
-// when there is any, 2 when the module does not type-check.
+// Unreferenced. An exported package-level function, type, variable or
+// constant, or an exported method, that nothing references. A use from a
+// _test.go file in the declaration's own directory does not count, so an
+// API kept alive only by its own unit tests is reported; uses from other
+// packages' tests (root benchmarks, oracles another package's tests
+// call) and from nested modules do count. The type named in a method's
+// receiver is not used by that method, so a type kept only by its own
+// methods is reported. A method is skipped when its type has every
+// method of some interface in the type-checked program that includes it
+// (String, Len/Less/Swap, the policy interfaces, ...), because interface
+// dispatch uses such methods without naming them.
+//
+// Compared, never produced. An exported constant whose every use,
+// outside its own directory's tests, is a case label or an operand of
+// == or !=: no value ever equals it, so every such test is dead.
+//
+// Written, never read. A struct field, exported or not, that no code
+// reads, tests included (a test that reads a field checks observable
+// state). Writes are the left side of an assignment, ++/--, and a key in
+// a keyed composite literal; every other use is a read. Embedded fields
+// and fields with a struct tag are skipped (reflection reads them), and
+// so are the fields of a struct type used as a map key or compared with
+// == or !=, because the comparison reads every field.
+//
+// It prints one "file:line: pkg.Name" line per finding, with the rule
+// appended for the last two, and exits 1 when there is any, 2 when the
+// module does not type-check.
 //
 //	go run ./tools/deadcode
 package main
@@ -39,8 +54,9 @@ import (
 // unit is one type-checked package: a directory's package with its
 // in-package tests, or its external _test package.
 type unit struct {
-	pkg  *types.Package
-	info *types.Info
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
 	// internal is true for the in-package unit of a directory under the
 	// root module's internal/, whose declarations are candidates.
 	internal bool
@@ -204,7 +220,7 @@ func (c *checker) check(path string, files []*ast.File, internal bool, imp types
 	if err != nil {
 		return nil, fmt.Errorf("type-checking %s: %w", path, err)
 	}
-	c.units = append(c.units, &unit{pkg: pkg, info: info, internal: internal})
+	c.units = append(c.units, &unit{pkg: pkg, info: info, files: files, internal: internal})
 	for _, f := range files {
 		for _, d := range f.Decls {
 			if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv != nil {
@@ -354,21 +370,134 @@ func viaInterface(fn *types.Func, ifaces [][]string) bool {
 	return false
 }
 
-// dead returns the unreferenced exported declarations of the internal
-// units, as sorted "file:line: pkg.Name" lines relative to root.
+// how says what an identifier's use does with the object it names.
+type how int
+
+const (
+	other    how = iota
+	compared     // a case label or an operand of == or !=
+	written      // assigned, incremented or decremented, or a composite-literal key
+)
+
+// walk calls f for every identifier of file that uses an object, with
+// what its use does.
+func walk(info *types.Info, file *ast.File, f func(id *ast.Ident, obj types.Object, h how)) {
+	var parents []ast.Node
+	ast.Inspect(file, func(n ast.Node) bool {
+		if n == nil {
+			parents = parents[:len(parents)-1]
+			return true
+		}
+		if id, ok := n.(*ast.Ident); ok {
+			if obj := info.Uses[id]; obj != nil {
+				f(id, obj, useOf(id, parents))
+			}
+		}
+		parents = append(parents, n)
+		return true
+	})
+}
+
+// useOf classifies the use of id, whose ancestors are parents. The
+// expression it names is id itself, or the selector x.id, in
+// parentheses or not.
+func useOf(id *ast.Ident, parents []ast.Node) how {
+	var e ast.Expr = id
+	i := len(parents) - 1
+	for ; i >= 0; i-- {
+		if p, ok := parents[i].(*ast.SelectorExpr); ok && p.Sel == e {
+			e = p
+		} else if p, ok := parents[i].(*ast.ParenExpr); ok {
+			e = p
+		} else {
+			break
+		}
+	}
+	if i < 0 {
+		return other
+	}
+	switch p := parents[i].(type) {
+	case *ast.BinaryExpr:
+		if p.Op == token.EQL || p.Op == token.NEQ {
+			return compared
+		}
+	case *ast.CaseClause:
+		if slices.Contains(p.List, e) {
+			return compared
+		}
+	case *ast.AssignStmt:
+		if slices.Contains(p.Lhs, e) {
+			return written
+		}
+	case *ast.IncDecStmt:
+		return written
+	case *ast.KeyValueExpr:
+		if _, lit := parents[i-1].(*ast.CompositeLit); lit && p.Key == e {
+			return written
+		}
+	}
+	return other
+}
+
+// compareAll marks the fields that comparing a value of type t reads:
+// every field of a struct, recursively, and of an array's elements.
+func (c *checker) compareAll(t types.Type, marked map[string]bool) {
+	switch u := t.Underlying().(type) {
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if p := c.pos(f); !marked[p] {
+				marked[p] = true
+				c.compareAll(f.Type(), marked)
+			}
+		}
+	case *types.Array:
+		c.compareAll(u.Elem(), marked)
+	}
+}
+
+// pos names an object by its source position, which is the same in
+// every type-check of its package.
+func (c *checker) pos(obj types.Object) string { return c.fset.Position(obj.Pos()).String() }
+
+// dead returns the findings of the three rules for the internal units,
+// as sorted "file:line: pkg.Name" lines relative to root.
 func (c *checker) dead(root string) []string {
-	used := map[string]bool{}
+	used := map[string]bool{}     // referenced outside the own directory's tests
+	produced := map[string]bool{} // likewise, other than in a comparison
+	read := map[string]bool{}     // field positions read anywhere
+	exempt := map[string]bool{}   // field positions compared, tagged or embedded
 	for _, u := range c.units {
-		for id, obj := range u.info.Uses {
-			k := key(obj)
-			if k == "" || used[k] || c.recv[id] {
-				continue
+		for _, f := range u.files {
+			walk(u.info, f, func(id *ast.Ident, obj types.Object, h how) {
+				if v, ok := obj.(*types.Var); ok && v.IsField() {
+					if h != written {
+						read[c.pos(v)] = true
+					}
+					return
+				}
+				k := key(obj)
+				if k == "" || c.recv[id] {
+					return
+				}
+				if file := c.fset.Position(id.Pos()).Filename; strings.HasSuffix(file, "_test.go") &&
+					filepath.Dir(file) == filepath.Dir(c.fset.Position(obj.Pos()).Filename) {
+					return // a package's own tests do not keep its API alive
+				}
+				used[k] = true
+				if h != compared {
+					produced[k] = true
+				}
+			})
+		}
+		for e, tv := range u.info.Types {
+			if m, ok := tv.Type.(*types.Map); ok {
+				c.compareAll(m.Key(), exempt)
 			}
-			if file := c.fset.Position(id.Pos()).Filename; strings.HasSuffix(file, "_test.go") &&
-				filepath.Dir(file) == filepath.Dir(c.fset.Position(obj.Pos()).Filename) {
-				continue // a package's own tests do not keep its API alive
+			if b, ok := e.(*ast.BinaryExpr); ok && (b.Op == token.EQL || b.Op == token.NEQ) {
+				c.compareAll(u.info.TypeOf(b.X), exempt)
+				c.compareAll(u.info.TypeOf(b.Y), exempt)
 			}
-			used[k] = true
 		}
 	}
 	ifaces := c.interfaces()
@@ -377,27 +506,66 @@ func (c *checker) dead(root string) []string {
 		if !u.internal {
 			continue
 		}
+		owner := map[string]string{} // field position → its named struct type
+		for _, f := range u.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, name := range fl.Names {
+								owner[c.fset.Position(name.Pos()).String()] = n.Name.Name + "."
+							}
+						}
+					}
+				case *ast.Field:
+					if n.Tag != nil || len(n.Names) == 0 {
+						for _, name := range n.Names {
+							exempt[c.fset.Position(name.Pos()).String()] = true
+						}
+					}
+				}
+				return true
+			})
+		}
 		for id, obj := range u.info.Defs {
-			if obj == nil || !id.IsExported() {
+			if obj == nil {
 				continue
 			}
 			pos := c.fset.Position(id.Pos())
 			if strings.HasSuffix(pos.Filename, "_test.go") {
 				continue
 			}
-			k := key(obj)
-			if k == "" || used[k] {
-				continue
-			}
-			if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && viaInterface(fn, ifaces) {
-				continue
+			var name, rule string
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if p := pos.String(); v.Embedded() || read[p] || exempt[p] {
+					continue
+				} else {
+					name, rule = owner[p]+v.Name(), " (written, never read)"
+				}
+			} else {
+				k := key(obj)
+				if k == "" || !id.IsExported() {
+					continue
+				}
+				_, isConst := obj.(*types.Const)
+				switch {
+				case !used[k]:
+					if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil && viaInterface(fn, ifaces) {
+						continue
+					}
+				case isConst && !produced[k]:
+					rule = " (compared, never produced)"
+				default:
+					continue
+				}
+				name = strings.TrimPrefix(k, u.pkg.Path()+".")
 			}
 			rel, err := filepath.Rel(root, pos.Filename)
 			if err != nil {
 				rel = pos.Filename
 			}
-			name := strings.TrimPrefix(k, u.pkg.Path()+".")
-			out = append(out, fmt.Sprintf("%s:%d: %s.%s", filepath.ToSlash(rel), pos.Line, u.pkg.Name(), name))
+			out = append(out, fmt.Sprintf("%s:%d: %s.%s%s", filepath.ToSlash(rel), pos.Line, u.pkg.Name(), name, rule))
 		}
 	}
 	sort.Strings(out)

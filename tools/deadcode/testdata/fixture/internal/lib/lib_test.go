@@ -1,3 +1,5 @@
 package lib
 
 func useOwn() { OwnTestOnly(); SelfKept{}.Run() }
+
+func produceOwn() (Mode, int) { return ModeOwnTest, NewRecord().TestRead }

@@ -3,3 +3,5 @@ package other
 import "fixture/internal/lib"
 
 func useOther() { lib.OtherTestOnly() }
+
+func produceOther() lib.Mode { return lib.ModeOtherTest }
